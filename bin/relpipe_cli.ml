@@ -7,12 +7,21 @@
      cert         independently check an optimality certificate
      simulate     Monte-Carlo-validate a solved mapping
      pareto       print the latency/reliability trade-off front
+     eval         evaluate and certify a user-supplied mapping
+     tri          minimize failure under latency and period bounds
+     goodput      solve, then measure goodput over simulated missions
+     experiments  regenerate every paper experiment (E1-E24)
+     catalog      list the built-in platform presets or export one
+     lint         diagnose an instance file (spans, rule IDs)
      batch        answer a JSONL stream of solve requests (cached, parallel)
      serve        daemon: the batch protocol over Unix/TCP sockets
      call         scripted client for a running serve daemon
+     prof         per-phase span/metric breakdown of one solve
      sweep        generate synthetic scenarios and batch-solve them
      atlas        stream a seeded Zipf/bursty workload with online aggregation
-     experiments  regenerate every paper experiment (E1-E14)
+     fuzz         differential fuzzing campaign over the solver oracles
+     devlint      source linter: compare, determinism, race, obs-name rules
+     churn        replay live platform churn with warm-started re-solving
      demo         write a sample instance file (the paper's Fig. 5) *)
 
 open Cmdliner
@@ -20,6 +29,7 @@ open Relpipe_model
 open Relpipe_core
 module Service = Relpipe_service
 module Serve = Relpipe_serve
+module Pool = Relpipe_pool.Pool
 
 (* Every file-loading subcommand shares this helper; parse failures are
    rendered through the Relpipe_analysis spans ("path:line:col:
@@ -295,10 +305,12 @@ let cert_cmd =
     match load_instance path with
     | Error msg -> `Error (false, msg)
     | Ok inst -> (
-        let text =
-          In_channel.with_open_text cert_path In_channel.input_all
+        let parsed =
+          match In_channel.with_open_text cert_path In_channel.input_all with
+          | text -> Relpipe_cert.Cert.of_string text
+          | exception Sys_error msg -> Error msg
         in
-        match Relpipe_cert.Cert.of_string text with
+        match parsed with
         | Error msg ->
             Format.eprintf "%s: unreadable certificate: %s@." cert_path msg;
             Stdlib.exit 1
@@ -568,7 +580,7 @@ let experiments_cmd =
       `Ok ()
     end
   in
-  let doc = "Regenerate the paper experiments (DESIGN.md E1-E23)." in
+  let doc = "Regenerate the paper experiments (DESIGN.md E1-E24)." in
   Cmd.v (Cmd.info "experiments" ~doc)
     Term.(ret (const run $ only_arg $ markdown_arg))
 
@@ -814,7 +826,7 @@ let output_arg =
 let make_engine ?obs ?(cache_shards = 1) ~workers ~exact_workers ~cache_size ()
     =
   let workers =
-    if workers <= 0 then Service.Pool.cpu_count () else workers
+    if workers <= 0 then Pool.cpu_count () else workers
   in
   Service.Engine.create ?obs ~workers ~cap_to_cpus:(not exact_workers)
     ~cache_capacity:cache_size ~cache_shards ()
@@ -822,23 +834,26 @@ let make_engine ?obs ?(cache_shards = 1) ~workers ~exact_workers ~cache_size ()
 (* Write failures on the response sink (unwritable path, ENOSPC, a
    closed pipe) surface as a typed CLI error naming the path, never an
    uncaught Sys_error — and never a silently truncated batch. *)
-let with_output path f =
-  let name = if path = "-" then "stdout" else path in
-  match
-    match path with
-    | "-" ->
-        f stdout;
-        flush stdout
-    | path ->
-        (* Flush inside the guarded region: with_open_text closes with
-           close_noerr, which would swallow an ENOSPC at close time. *)
-        Out_channel.with_open_text path (fun oc ->
-            f oc;
-            Out_channel.flush oc)
-  with
+let guard_write name write =
+  match write () with
   | () -> Ok ()
   | exception Sys_error msg ->
       Error (Printf.sprintf "cannot write %s: %s" name msg)
+
+let write_file path f =
+  guard_write path (fun () ->
+      (* Flush inside the guarded region: with_open_text closes with
+         close_noerr, which would swallow an ENOSPC at close time. *)
+      Out_channel.with_open_text path (fun oc ->
+          f oc;
+          Out_channel.flush oc))
+
+let with_output path f =
+  if path <> "-" then write_file path f
+  else
+    guard_write "stdout" (fun () ->
+        f stdout;
+        flush stdout)
 
 let finish_batch engine stats =
   if stats then
@@ -1146,35 +1161,39 @@ let sweep_cmd =
               ~instance:(Service.Protocol.Inline (Textio.to_string inst))
               objective)
       in
-      (match emit with
-      | None -> ()
-      | Some path ->
-          Out_channel.with_open_text path (fun oc ->
-              Array.iter
-                (fun r ->
-                  Out_channel.output_string oc
-                    (Service.Protocol.encode_request r);
-                  Out_channel.output_char oc '\n')
-                requests);
-          Format.eprintf "wrote %d requests to %s@." count path);
-      if dry_run then `Ok ()
-      else begin
-        let engine = make_engine ~workers ~exact_workers ~cache_size () in
-        let responses = Service.Engine.run_requests engine requests in
-        match
-          with_output output (fun oc ->
-              Array.iter
-                (fun r ->
-                  Out_channel.output_string oc
-                    (Service.Protocol.encode_response r);
-                  Out_channel.output_char oc '\n')
-                responses)
-        with
-        | Error msg -> `Error (false, msg)
-        | Ok () ->
-            finish_batch engine stats;
-            `Ok ()
-      end
+      let emitted =
+        match emit with
+        | None -> Ok ()
+        | Some path ->
+            write_file path (fun oc ->
+                Array.iter
+                  (fun r ->
+                    Out_channel.output_string oc
+                      (Service.Protocol.encode_request r);
+                    Out_channel.output_char oc '\n')
+                  requests)
+            |> Result.map (fun () ->
+                   Format.eprintf "wrote %d requests to %s@." count path)
+      in
+      match emitted with
+      | Error msg -> `Error (false, msg)
+      | Ok () when dry_run -> `Ok ()
+      | Ok () -> (
+          let engine = make_engine ~workers ~exact_workers ~cache_size () in
+          let responses = Service.Engine.run_requests engine requests in
+          match
+            with_output output (fun oc ->
+                Array.iter
+                  (fun r ->
+                    Out_channel.output_string oc
+                      (Service.Protocol.encode_response r);
+                    Out_channel.output_char oc '\n')
+                  responses)
+          with
+          | Error msg -> `Error (false, msg)
+          | Ok () ->
+              finish_batch engine stats;
+              `Ok ())
     end
   in
   let doc =
@@ -1520,8 +1539,8 @@ let fuzz_cmd =
           `Error (false, "--max-stages and --max-procs must be positive")
       | Ok oracles ->
           let workers =
-            Service.Pool.effective_workers ~cap:(not exact_workers)
-              (if workers <= 0 then Service.Pool.cpu_count () else workers)
+            Pool.effective_workers ~cap:(not exact_workers)
+              (if workers <= 0 then Pool.cpu_count () else workers)
           in
           let report =
             Fuzz.Runner.run
@@ -1698,8 +1717,8 @@ let devlint_cmd =
          AST-grounded replacement for the old tools/forbid.sh grep), the \
          determinism family (ambient randomness, wall-clock reads, \
          Domain.self, unordered Hashtbl iteration), the race family \
-         (unsynchronized writes captured by Service.Pool / Domain.spawn \
-         closures) and the obs-names family (metric/span name contract).";
+         (unsynchronized writes captured by Relpipe_pool.Pool / \
+         Domain.spawn closures) and the obs-names family (metric/span name contract).";
       `P
         "Vetted exceptions live in a baseline file (one \"RULE-ID \
          PATH[:LINE] [-- reason]\" per line) or as in-source \
@@ -2119,10 +2138,10 @@ let churn_cmd =
             | [] -> ());
             if verify then begin
               let workers =
-                if workers <= 0 then Service.Pool.cpu_count () else workers
+                if workers <= 0 then Pool.cpu_count () else workers
               in
               let workers =
-                Service.Pool.effective_workers ~cap:(not exact_workers) workers
+                Pool.effective_workers ~cap:(not exact_workers) workers
               in
               if Churn.Engine.verify ~obs ~workers ~objective steps then begin
                 Printf.printf "verify:  warm == cold on %d steps\n"

@@ -1,5 +1,5 @@
 (** Family "race" — unsynchronized writes to captured mutable state
-    inside closures submitted to Service.Pool.map or Domain.spawn. *)
+    inside closures submitted to Relpipe_pool.Pool.map or Domain.spawn. *)
 
 val rules : Drule.t list
 

@@ -1,10 +1,10 @@
-(** The per-experiment reproduction harness (DESIGN.md, E1-E14).
+(** The per-experiment reproduction harness (DESIGN.md, E1-E24).
 
     Each function regenerates one paper artefact — a worked example, a
     theorem's optimality claim, a reduction's equivalence, or one of the
     extended evaluations — and reports it as a table of paper-claim versus
     measured value.  [all] runs every experiment (deterministically, fixed
-    seeds); [print_all] renders them to stdout.  EXPERIMENTS.md is the
+    seeds); [relpipe experiments] renders them.  EXPERIMENTS.md is the
     curated record of one such run. *)
 
 val e1_fig34 : unit -> Relpipe_util.Table.t
@@ -99,5 +99,3 @@ val e24_effort_sweep : unit -> Relpipe_util.Table.t
 
 val all : unit -> (string * Relpipe_util.Table.t) list
 (** Every experiment, titled, in DESIGN.md order. *)
-
-val print_all : unit -> unit

@@ -1,5 +1,5 @@
 module Rng = Relpipe_util.Rng
-module Pool = Relpipe_service.Pool
+module Pool = Relpipe_pool.Pool
 module Obs = Relpipe_obs.Obs
 module Clock = Relpipe_obs.Clock
 

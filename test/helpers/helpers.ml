@@ -117,3 +117,31 @@ let seed_property ?(count = 100) name prop =
     (QCheck.Test.make ~name ~count QCheck.small_nat (fun seed -> prop seed))
 
 let test name f = Alcotest.test_case name `Quick f
+
+(* ------------------------------------------------------------------ *)
+(* Driving the built executables                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Paths relative to the test build directory; test/dune lists both
+   executables in its deps. *)
+let relpipe_exe = Filename.concat ".." (Filename.concat "bin" "relpipe_cli.exe")
+let bench_exe = Filename.concat ".." (Filename.concat "bench" "main.exe")
+
+(* Run [exe args] with stdin closed: (exit code, stdout, stderr). *)
+let run_exe exe args =
+  let out = Filename.temp_file "relpipe-test" ".out" in
+  let err = Filename.temp_file "relpipe-test" ".err" in
+  let cmd =
+    Printf.sprintf "%s %s </dev/null >%s 2>%s" (Filename.quote exe)
+      (String.concat " " (List.map Filename.quote args))
+      (Filename.quote out) (Filename.quote err)
+  in
+  let code = Sys.command cmd in
+  let slurp path =
+    let s = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    s
+  in
+  (code, slurp out, slurp err)
+
+let run_cli args = run_exe relpipe_exe args

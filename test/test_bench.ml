@@ -1,46 +1,36 @@
-(* End-to-end tests for the bench harness (bench/main.exe): the
-   virtual-clock kernel report must be byte-identical across runs, carry
-   the v2 twin schema, pass a regression check against itself, and fail
-   one against a doctored twice-as-fast baseline. *)
+(* End-to-end tests for the kernel ledger (bench/main.exe): the
+   virtual-clock report must be byte-identical across runs, carry the v2
+   twin schema and the landscape rows, pass a regression check against
+   itself, and fail one against a doctored twice-as-fast baseline. *)
 
 module Json = Relpipe_service.Json
 
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
-let exe = Filename.concat ".." (Filename.concat "bench" "main.exe")
-
-let run_bench args =
-  let out = Filename.temp_file "relpipe-bench" ".out" in
-  let err = Filename.temp_file "relpipe-bench" ".err" in
-  let cmd =
-    Printf.sprintf "%s %s </dev/null >%s 2>%s" (Filename.quote exe)
-      (String.concat " " (List.map Filename.quote args))
-      (Filename.quote out) (Filename.quote err)
-  in
-  let code = Sys.command cmd in
-  let slurp path =
-    let s = In_channel.with_open_bin path In_channel.input_all in
-    Sys.remove path;
-    s
-  in
-  (code, slurp out, slurp err)
+let run_bench = Helpers.run_exe Helpers.bench_exe
 
 let slurp path = In_channel.with_open_bin path In_channel.input_all
 
-let report_in tmp =
-  let code, _out, err =
-    run_bench [ "--kernels-only"; "--virtual-clock"; "--json"; tmp ]
-  in
+let report_in () =
+  let tmp = Filename.temp_file "relpipe-bench" ".json" in
+  let code, _out, err = run_bench [ "--virtual-clock"; "--json"; tmp ] in
   check_int "bench exits 0" 0 code;
   check_str "bench stderr empty" "" err;
   let s = slurp tmp in
   Sys.remove tmp;
   s
 
+(* One run shared by every test that only reads the report. *)
+let report = lazy (report_in ())
+
+let with_baseline text f =
+  let tmp = Filename.temp_file "relpipe-bench" ".json" in
+  Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc text);
+  Fun.protect ~finally:(fun () -> Sys.remove tmp) (fun () -> f tmp)
+
 let test_deterministic () =
-  let a = report_in (Filename.temp_file "relpipe-bench" ".json") in
-  let b = report_in (Filename.temp_file "relpipe-bench" ".json") in
-  check_str "virtual-clock reports byte-identical" a b
+  check_str "virtual-clock reports byte-identical" (Lazy.force report)
+    (report_in ())
 
 let parse_exn s =
   match Json.parse s with
@@ -51,7 +41,7 @@ let get name v =
   match v with Some x -> x | None -> Alcotest.failf "missing field %s" name
 
 let test_schema () =
-  let j = parse_exn (report_in (Filename.temp_file "relpipe-bench" ".json")) in
+  let j = parse_exn (Lazy.force report) in
   let field name = get name (Json.member name j) in
   check_int "version" 2 (get "version" (Json.to_int (field "version")));
   Alcotest.(check bool)
@@ -59,11 +49,19 @@ let test_schema () =
     (get "virtual_clock" (Json.to_bool (field "virtual_clock")));
   check_str "date pinned" "1970-01-01T00:00:00Z"
     (get "date" (Json.to_str (field "date")));
-  (match field "batch_throughput" with
-  | Json.Null -> ()
-  | _ -> Alcotest.fail "batch_throughput not null under virtual clock");
-  check_int "no bechamel rows under virtual clock" 0
-    (List.length (get "benchmarks" (Json.to_list (field "benchmarks"))));
+  (* The landscape shares the twins' harness, so it runs under the
+     virtual clock too. *)
+  let names =
+    List.map
+      (fun k -> get "name" (Option.bind (Json.member "name" k) Json.to_str))
+      (get "benchmarks" (Json.to_list (field "benchmarks")))
+  in
+  check_int "twenty landscape rows" 20 (List.length names);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) ("landscape row " ^ name) true (List.mem name names))
+    [ "latency-eq1 (n=8, 2 intervals)"; "thm4 direct DP (n=32, m=24)";
+      "exact enumeration (n=3, m=4)"; "tri-criteria greedy (n=8, m=8)" ];
   let twins = get "twins" (Json.to_list (field "twins")) in
   check_int "three kernel twins" 3 (List.length twins);
   let kernels =
@@ -86,16 +84,10 @@ let test_schema () =
     twins
 
 let test_against_self_passes () =
-  let tmp = Filename.temp_file "relpipe-bench" ".json" in
-  let code, _out, err =
-    run_bench [ "--kernels-only"; "--virtual-clock"; "--json"; tmp ]
-  in
-  check_int "baseline run exits 0" 0 code;
-  check_str "baseline stderr empty" "" err;
   let code, out, _err =
-    run_bench [ "--kernels-only"; "--virtual-clock"; "--against"; tmp ]
+    with_baseline (Lazy.force report) (fun tmp ->
+        run_bench [ "--virtual-clock"; "--against"; tmp ])
   in
-  Sys.remove tmp;
   check_int "self-comparison exits 0" 0 code;
   Alcotest.(check bool)
     "reports OK" true
@@ -110,12 +102,7 @@ let test_against_regression_fails () =
   (* Doctor the baseline so every kernel claims to have been 2x faster:
      the current run then looks like a 2x regression and must fail the
      10% gate. *)
-  let tmp = Filename.temp_file "relpipe-bench" ".json" in
-  let code, _out, _err =
-    run_bench [ "--kernels-only"; "--virtual-clock"; "--json"; tmp ]
-  in
-  check_int "baseline run exits 0" 0 code;
-  let j = parse_exn (slurp tmp) in
+  let j = parse_exn (Lazy.force report) in
   let doctored =
     match j with
     | Json.Obj fields ->
@@ -147,12 +134,10 @@ let test_against_regression_fails () =
              fields)
     | _ -> Alcotest.fail "bench JSON is not an object"
   in
-  Out_channel.with_open_bin tmp (fun oc ->
-      Out_channel.output_string oc (Json.to_string doctored));
   let code, _out, err =
-    run_bench [ "--kernels-only"; "--virtual-clock"; "--against"; tmp ]
+    with_baseline (Json.to_string doctored) (fun tmp ->
+        run_bench [ "--virtual-clock"; "--against"; tmp ])
   in
-  Sys.remove tmp;
   check_int "regression exits 1" 1 code;
   Alcotest.(check bool)
     "names a failing kernel on stderr" true
@@ -163,32 +148,6 @@ let test_against_regression_fails () =
      in
      mem 0)
 
-let test_throughput_host_fields () =
-  (* PR9's report read "0.14x speedup with 4 workers" without recording
-     that the host had a single cpu.  The throughput row must now carry
-     the host cpu count and an explicit oversubscription flag so the
-     number can be interpreted. *)
-  let tmp = Filename.temp_file "relpipe-bench" ".json" in
-  let code, _out, _err =
-    run_bench [ "--throughput-only"; "--throughput-requests"; "8";
-                "--json"; tmp ]
-  in
-  check_int "throughput-only exits 0" 0 code;
-  let j = parse_exn (slurp tmp) in
-  Sys.remove tmp;
-  let field name = get name (Json.member name j) in
-  let row = field "batch_throughput" in
-  let rf name = get name (Json.member name row) in
-  check_int "requests honours --throughput-requests" 8
-    (get "requests" (Json.to_int (rf "requests")));
-  let workers = get "workers" (Json.to_int (rf "workers")) in
-  let cpus = get "cpus" (Json.to_int (rf "cpus")) in
-  let top_cpus = get "cpus" (Json.to_int (field "cpus")) in
-  check_int "row cpus matches host cpus" top_cpus cpus;
-  Alcotest.(check bool)
-    "oversubscribed = workers > cpus" (workers > cpus)
-    (get "oversubscribed" (Json.to_bool (rf "oversubscribed")))
-
 let () =
   Alcotest.run "bench"
     [
@@ -197,11 +156,6 @@ let () =
           Alcotest.test_case "report is deterministic" `Quick test_deterministic;
           Alcotest.test_case "report carries the v2 twin schema" `Quick
             test_schema;
-        ] );
-      ( "throughput",
-        [
-          Alcotest.test_case "row records host cpus and oversubscription"
-            `Quick test_throughput_host_fields;
         ] );
       ( "against",
         [

@@ -6,7 +6,8 @@
    a live in-process daemon with two interleaved clients whose recording
    replays to the exact reply streams the clients received, the
    SIGTERM-path drain (every admitted request answered before exit), and
-   the `relpipe batch -o` sink-failure regression. *)
+   the CLI path-failure regressions (`batch -o`, `cert` on a directory,
+   `sweep --emit-requests`). *)
 
 open Relpipe_model
 open Relpipe_service
@@ -544,26 +545,10 @@ let test_sigterm_drain_answers_every_admitted_request () =
   check_int "report agrees" !admitted report.Server.answered
 
 (* ------------------------------------------------------------------ *)
-(* CLI: batch -o sink failures (regression)                            *)
+(* CLI: unreadable and unwritable paths (regression)                   *)
 (* ------------------------------------------------------------------ *)
 
-let exe = Filename.concat ".." (Filename.concat "bin" "relpipe_cli.exe")
-
-let run_cli args =
-  let out = Filename.temp_file "relpipe-test" ".out" in
-  let err = Filename.temp_file "relpipe-test" ".err" in
-  let cmd =
-    Printf.sprintf "%s %s </dev/null >%s 2>%s" (Filename.quote exe)
-      (String.concat " " (List.map Filename.quote args))
-      (Filename.quote out) (Filename.quote err)
-  in
-  let code = Sys.command cmd in
-  let slurp path =
-    let s = In_channel.with_open_bin path In_channel.input_all in
-    Sys.remove path;
-    s
-  in
-  (code, slurp out, slurp err)
+let run_cli = Helpers.run_cli
 
 let with_request_file f =
   let path = Filename.temp_file "relpipe-serve-req" ".jsonl" in
@@ -589,6 +574,24 @@ let test_batch_output_enospc () =
         let code, _, err = run_cli [ "batch"; req; "-o"; "/dev/full" ] in
         check_bool "exits non-zero" true (code <> 0);
         check_bool "names the path" true (contains "/dev/full" err))
+
+(* Both used to escape as an uncaught Sys_error (exit 125). *)
+let test_cert_directory () =
+  let code, _, err =
+    run_cli [ "cert"; "-i"; "fixtures/clean_fully_hetero.relpipe"; "fixtures" ]
+  in
+  check_int "exits 1 (unreadable certificate)" 1 code;
+  check_bool "names the path" true (contains "fixtures: unreadable" err)
+
+let test_sweep_emit_unwritable_path () =
+  let path = "/nonexistent-dir/requests.jsonl" in
+  let code, _, err =
+    run_cli
+      [ "sweep"; "-n"; "1"; "-F"; "0.5"; "--emit-requests"; path; "--dry-run" ]
+  in
+  check_bool "exits non-zero" true (code <> 0);
+  check_bool "not an internal error" true (code <> 125);
+  check_bool "names the path" true (contains path err)
 
 (* ------------------------------------------------------------------ *)
 
@@ -646,5 +649,8 @@ let () =
         [
           test "batch -o unwritable path" test_batch_output_unwritable_path;
           test "batch -o ENOSPC sink" test_batch_output_enospc;
+          test "cert on a directory" test_cert_directory;
+          test "sweep --emit-requests unwritable path"
+            test_sweep_emit_unwritable_path;
         ] );
     ]

@@ -7,6 +7,7 @@ open Relpipe_model
 open Relpipe_service
 module Rng = Relpipe_util.Rng
 module Lru = Relpipe_util.Lru
+module Pool = Relpipe_pool.Pool
 
 let test = Helpers.test
 

@@ -317,23 +317,7 @@ let test_bloom_union_laws () =
 (* Atlas CLI: golden report, byte-identical across worker counts       *)
 (* ------------------------------------------------------------------ *)
 
-let exe = Filename.concat ".." (Filename.concat "bin" "relpipe_cli.exe")
-
-let run_cli args =
-  let out = Filename.temp_file "relpipe-atlas" ".out" in
-  let err = Filename.temp_file "relpipe-atlas" ".err" in
-  let cmd =
-    Printf.sprintf "%s %s </dev/null >%s 2>%s" (Filename.quote exe)
-      (String.concat " " (List.map Filename.quote args))
-      (Filename.quote out) (Filename.quote err)
-  in
-  let code = Sys.command cmd in
-  let slurp path =
-    let s = In_channel.with_open_bin path In_channel.input_all in
-    Sys.remove path;
-    s
-  in
-  (code, slurp out, slurp err)
+let run_cli = Helpers.run_cli
 
 let atlas_args workers =
   [

@@ -264,19 +264,22 @@ if "$relpipe" cert -i examples/instances/lab-cluster.relpipe \
   exit 1
 fi
 
-echo "== bench: kernel-twin smoke (virtual clock) =="
-# The optimized-vs-reference twin harness must run, emit a well-formed v2
-# report, and pass the regression gate against its own output.
+echo "== bench: kernel-ledger smoke (virtual clock) =="
+# The kernel ledger (landscape, Thm 4 scaling and optimized-vs-reference
+# twins, all on one sampling harness) must run under the virtual clock,
+# emit a well-formed v2 report, and pass the regression gate against its
+# own output.
 bench=_build/default/bench/main.exe
-"$bench" --kernels-only --virtual-clock --json "$tmp/bench.json" >/dev/null
+"$bench" --virtual-clock --json "$tmp/bench.json" >/dev/null
 for needle in '"version":2' '"virtual_clock":true' '"kernel":"interval-dp"' \
-  '"kernel":"general-dp"' '"kernel":"bb"' '"speedup_lo"'; do
+  '"kernel":"general-dp"' '"kernel":"bb"' '"speedup_lo"' \
+  '"name":"thm4 direct DP (n=32, m=24)"'; do
   if ! grep -q "$needle" "$tmp/bench.json"; then
     echo "check.sh: bench report is missing $needle" >&2
     exit 1
   fi
 done
-"$bench" --kernels-only --virtual-clock --against "$tmp/bench.json" >/dev/null
+"$bench" --virtual-clock --against "$tmp/bench.json" >/dev/null
 
 echo "== relpipe prof: virtual-clock snapshot =="
 # Under --virtual-clock the profile is a pure function of the instance,
