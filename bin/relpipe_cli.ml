@@ -30,11 +30,225 @@ open Relpipe_core
 module Service = Relpipe_service
 module Serve = Relpipe_serve
 module Pool = Relpipe_pool.Pool
+module Table = Relpipe_util.Table
+module Obs = Relpipe_obs.Obs
 
-(* Every file-loading subcommand shares this helper; parse failures are
-   rendered through the Relpipe_analysis spans ("path:line:col:
-   error[RP-P001]: ..."), exactly like `relpipe lint`. *)
+(* ------------------------------------------------------------------ *)
+(* The front-end layer every subcommand goes through: loading, solving,
+   reading, writing, workers and observability sinks.  Each failure
+   comes back as [Error msg], which a subcommand ends with as
+   "relpipe: msg" (exit 124) — never as an uncaught exception.        *)
+(* ------------------------------------------------------------------ *)
+
+(* Subcommand bodies chain [(_, string) result] steps with this bind. *)
+let ( let* ) r f = match r with Ok x -> f x | Error msg -> `Error (false, msg)
+
+(* Statuses other than cmdliner's (lint severities, rejected
+   certificates, failed fuzz oracles). *)
+let exit_with = function
+  | 0 -> `Ok ()
+  | code ->
+      Format.print_flush ();
+      flush stdout;
+      Stdlib.exit code
+
+let cmd ?man name ~doc term = Cmd.v (Cmd.info name ~doc ?man) (Term.ret term)
+
+let opt_arg ?docv conv names default doc =
+  Arg.value (Arg.opt conv default (Arg.info names ?docv ~doc))
+
+let flag_arg names doc = Arg.(value & flag & info names ~doc)
+
+let seed_arg ?(names = [ "s"; "seed" ]) ?(doc = "Random seed.") default =
+  opt_arg Arg.int names default doc
+
+(* Parse failures are rendered through the Relpipe_analysis spans
+   ("path:line:col: error[RP-P001]: ..."), exactly like `relpipe lint`. *)
 let load_instance path = Relpipe_analysis.Analysis.load_instance_file path
+
+(* The one solve, over the typed Solver.run. *)
+let solve ~method_ inst objective =
+  Result.map_error
+    (function
+      | (Solver.Invalid_instance _ | Solver.Invalid_objective _) as e ->
+          "Solver: " ^ Solver.error_to_string e
+      | Solver.Not_applicable msg | Solver.Too_large msg -> msg)
+    (Solver.run ~method_ inst objective)
+
+let print_solution inst (s : Solution.t) =
+  Format.printf "mapping:  %a@." Mapping.pp s.Solution.mapping;
+  Format.printf "latency:  %g@." s.Solution.evaluation.Instance.latency;
+  Format.printf "failure:  %g@." s.Solution.evaluation.Instance.failure;
+  Format.printf "class:    %s@." (Solver.describe inst)
+
+let print_infeasible objective =
+  Format.printf "no feasible mapping for %a@." Instance.pp_objective objective
+
+(* For the commands that go on to run the mapping they solved. *)
+let solve_to_run ~method_ inst objective =
+  match solve ~method_ inst objective with
+  | Error _ as e -> e
+  | Ok None -> Error "no feasible mapping to simulate"
+  | Ok (Some s) ->
+      print_solution inst s;
+      Ok s
+
+(* I/O failures come back as the Sys_error text. *)
+let sys_result f =
+  match f () with x -> Ok x | exception Sys_error msg -> Error msg
+
+let read_file path =
+  sys_result (fun () -> In_channel.with_open_text path In_channel.input_all)
+
+(* [-] is stdin. *)
+let read_lines = function
+  | "-" -> sys_result (fun () -> In_channel.input_lines stdin)
+  | path ->
+      sys_result (fun () ->
+          In_channel.with_open_text path In_channel.input_lines)
+
+(* Write failures (unwritable path, ENOSPC, a closed pipe) name the
+   path, and never leave a silently truncated file. *)
+let guard_write name write =
+  Result.map_error
+    (Printf.sprintf "cannot write %s: %s" name)
+    (sys_result write)
+
+let write_file ?name path f =
+  guard_write (Option.value name ~default:path) (fun () ->
+      (* Flush inside the guarded region: with_open_text closes with
+         close_noerr, which would swallow an ENOSPC at close time. *)
+      Out_channel.with_open_text path (fun oc ->
+          f oc;
+          Out_channel.flush oc))
+
+(* [-] is stdout. *)
+let with_output path f =
+  if path <> "-" then write_file path f
+  else
+    guard_write "stdout" (fun () ->
+        f stdout;
+        flush stdout)
+
+let output_lines lines oc =
+  List.iter
+    (fun line ->
+      Out_channel.output_string oc line;
+      Out_channel.output_char oc '\n')
+    lines
+
+(* Certificates are written before the self-check, so a rejected one is
+   still on disk for inspection. *)
+let emit_certificate ~path inst cert =
+  match
+    write_file ~name:("certificate " ^ path) path (fun oc ->
+        Out_channel.output_string oc (Relpipe_cert.Cert.to_string cert))
+  with
+  | Error _ as e -> e
+  | Ok () -> (
+      match Relpipe_cert.Check.check inst cert with
+      | Ok entries ->
+          Format.printf "certificate: %s (%d entries, checker accepted)@."
+            path entries;
+          Ok ()
+      | Error msg ->
+          Error
+            (Printf.sprintf "certificate self-check rejected %s: %s" path msg))
+
+let print_table ?aligns headers rows =
+  let table = Table.create ?aligns headers in
+  List.iter (Table.add_row table) rows;
+  Table.print table
+
+(* lint --rules and devlint --list-rules. *)
+let print_rule_catalog ~group rows =
+  print_table
+    ~aligns:Table.[ Left; Left; Left; Left ]
+    [ "id"; "severity"; group; "title" ]
+    rows
+
+(* 0 (or less) means every CPU; the count is capped to the CPUs unless
+   --exact-workers asks for oversubscription. *)
+let resolve_workers ~exact_workers workers =
+  Pool.effective_workers ~cap:(not exact_workers)
+    (if workers <= 0 then Pool.cpu_count () else workers)
+
+let make_engine ?obs ?(cache_shards = 1) ~workers ~exact_workers ~cache_size ()
+    =
+  Service.Engine.create ?obs
+    ~workers:(resolve_workers ~exact_workers workers)
+    ~cap_to_cpus:false ~cache_capacity:cache_size ~cache_shards ()
+
+let finish_batch engine stats =
+  if stats then
+    Format.eprintf "%a@." Service.Engine.pp_stats (Service.Engine.stats engine)
+
+let make_obs ~tracing ~virtual_clock =
+  let clock =
+    if virtual_clock then Relpipe_obs.Clock.virtual_ ()
+    else Relpipe_obs.Clock.monotonic ()
+  in
+  Obs.create ~tracing ~clock ()
+
+let open_sink = function
+  | None -> Ok None
+  | Some path ->
+      sys_result (fun () -> Some (path, Out_channel.open_text path))
+
+let close_sink = Option.iter (fun (_, oc) -> Out_channel.close_noerr oc)
+
+let write_sink sink content =
+  match sink with
+  | None -> Ok ()
+  | Some (path, oc) ->
+      guard_write path (fun () ->
+          Out_channel.output_string oc content;
+          Out_channel.close oc)
+
+(* The --metrics/--trace files are opened before any solving, so a bad
+   path fails the command instead of discarding a finished run.  [k]
+   gets the registry (when either file is asked for) and a function
+   that writes both files. *)
+let with_obs_sinks ~virtual_clock ~metrics ~trace k =
+  let* metrics_sink = open_sink metrics in
+  match open_sink trace with
+  | Error msg ->
+      close_sink metrics_sink;
+      `Error (false, msg)
+  | Ok trace_sink ->
+      let obs =
+        if Option.is_none metrics_sink && Option.is_none trace_sink then None
+        else
+          Some (make_obs ~tracing:(Option.is_some trace_sink) ~virtual_clock)
+      in
+      let write_obs () =
+        match obs with
+        | None -> Ok ()
+        | Some o ->
+            Result.bind
+              (write_sink metrics_sink (Obs.metrics_jsonl o))
+              (fun () -> write_sink trace_sink (Obs.trace_jsonl o))
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          close_sink metrics_sink;
+          close_sink trace_sink)
+        (fun () -> k obs write_obs)
+
+let endpoints unix_path tcp_port host =
+  Option.to_list (Option.map (fun p -> `Unix p) unix_path)
+  @ Option.to_list (Option.map (fun port -> `Tcp (host, port)) tcp_port)
+
+let connect endpoint =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  match Serve.Client.connect endpoint with
+  | c -> Ok c
+  | exception Unix.Unix_error (e, _, _) ->
+      Error ("connect: " ^ Unix.error_message e)
+
+(* ------------------------------------------------------------------ *)
+(* Shared arguments                                                    *)
+(* ------------------------------------------------------------------ *)
 
 let instance_arg =
   let doc = "Instance description file (see `relpipe demo` for the format)." in
@@ -42,12 +256,12 @@ let instance_arg =
 
 let objective_arg =
   let max_latency =
-    let doc = "Minimize failure probability subject to this latency bound." in
-    Arg.(value & opt (some float) None & info [ "L"; "max-latency" ] ~doc)
+    opt_arg Arg.(some float) [ "L"; "max-latency" ] None
+      "Minimize failure probability subject to this latency bound."
   in
   let max_failure =
-    let doc = "Minimize latency subject to this failure-probability bound." in
-    Arg.(value & opt (some float) None & info [ "F"; "max-failure" ] ~doc)
+    opt_arg Arg.(some float) [ "F"; "max-failure" ] None
+      "Minimize latency subject to this failure-probability bound."
   in
   let combine l f =
     match l, f with
@@ -59,145 +273,139 @@ let objective_arg =
 
 let method_arg =
   let methods = Service.Protocol.method_names in
-  let doc =
-    Printf.sprintf "Solving method: %s."
-      (String.concat ", " (List.map fst methods))
-  in
-  Arg.(value & opt (enum methods) Solver.Auto & info [ "m"; "method" ] ~doc)
+  opt_arg (Arg.enum methods) [ "m"; "method" ] Solver.Auto
+    (Printf.sprintf "Solving method: %s."
+       (String.concat ", " (List.map fst methods)))
 
-let print_solution inst (s : Solution.t) =
-  Format.printf "mapping:  %a@." Mapping.pp s.Solution.mapping;
-  Format.printf "latency:  %g@." s.Solution.evaluation.Instance.latency;
-  Format.printf "failure:  %g@." s.Solution.evaluation.Instance.failure;
-  Format.printf "class:    %s@." (Solver.describe inst)
+let workers_arg =
+  opt_arg Arg.int [ "w"; "workers" ] 0
+    "Worker domains for the solve phase (0 = all CPUs).  Clamped to the \
+     detected CPU count unless $(b,--exact-workers) is set."
 
+let exact_workers_arg =
+  flag_arg [ "exact-workers" ]
+    "Spawn exactly the requested number of domains, even beyond the CPU \
+     count (oversubscription; used by tests to exercise scheduling on \
+     small machines).  Output is byte-identical either way."
+
+let cache_size_arg =
+  opt_arg Arg.int [ "cache-size" ] 1024
+    "Result-cache capacity (canonical instances; 0 disables)."
+
+let stats_flag =
+  flag_arg [ "stats" ]
+    "Print engine and cache counters to stderr after the batch."
+
+let output_arg =
+  opt_arg Arg.string [ "o"; "output" ] "-"
+    "Write JSONL responses here ($(b,-) = stdout)."
+
+let metrics_arg =
+  opt_arg ~docv:"FILE" Arg.(some string) [ "metrics" ] None
+    "Write a JSONL metric snapshot here after the batch."
+
+let trace_arg =
+  opt_arg ~docv:"FILE" Arg.(some string) [ "trace" ] None
+    "Write the JSONL span/event trace here after the batch."
+
+let virtual_clock_flag =
+  flag_arg [ "virtual-clock" ]
+    "Timestamp metrics and traces with a deterministic virtual clock \
+     (fixed tick per reading) instead of the monotonic clock, so the \
+     files are byte-identical across runs and worker counts."
+
+let unix_sock_arg =
+  opt_arg ~docv:"PATH" Arg.(some string) [ "unix" ] None
+    "Listen on (or connect to) this Unix-domain socket path."
+
+let tcp_port_arg =
+  opt_arg ~docv:"PORT" Arg.(some int) [ "tcp" ] None
+    "Listen on (or connect to) this TCP port (0 picks a free port)."
+
+let host_arg = opt_arg Arg.string [ "host" ] "127.0.0.1" "Host for $(b,--tcp)."
+
+let format_arg =
+  opt_arg
+    (Arg.enum [ ("text", `Text); ("json", `Json) ])
+    [ "format" ] `Text "Output format: text or json."
+
+(* ------------------------------------------------------------------ *)
+(* Single-instance commands                                            *)
 (* ------------------------------------------------------------------ *)
 
 let describe_cmd =
   let run path =
-    match load_instance path with
-    | Error msg -> `Error (false, msg)
-    | Ok inst ->
-        let platform = inst.Instance.platform in
-        Format.printf "pipeline: %d stages, total work %g@."
-          (Pipeline.length inst.Instance.pipeline)
-          (Pipeline.total_work inst.Instance.pipeline);
-        Format.printf "platform: %d processors@." (Platform.size platform);
-        Format.printf "classes:  %a, %a@." Classify.pp_comm_class
-          (Classify.comm_class platform)
-          Classify.pp_failure_class
-          (Classify.failure_class platform);
-        Format.printf "dispatch: %s@." (Solver.describe inst);
-        `Ok ()
+    let* inst = load_instance path in
+    let platform = inst.Instance.platform in
+    Format.printf "pipeline: %d stages, total work %g@."
+      (Pipeline.length inst.Instance.pipeline)
+      (Pipeline.total_work inst.Instance.pipeline);
+    Format.printf "platform: %d processors@." (Platform.size platform);
+    Format.printf "classes:  %a, %a@." Classify.pp_comm_class
+      (Classify.comm_class platform)
+      Classify.pp_failure_class
+      (Classify.failure_class platform);
+    Format.printf "dispatch: %s@." (Solver.describe inst);
+    `Ok ()
   in
-  let doc = "Classify an instance and report the applicable algorithm." in
-  Cmd.v (Cmd.info "describe" ~doc)
-    Term.(ret (const run $ instance_arg))
-
-(* Certificate plumbing shared by `solve --certify`, `exact --certify`
-   and `cert`.  The emitted text is written before the self-check so a
-   rejected certificate is still on disk for inspection. *)
-let write_certificate path cert =
-  match
-    Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc (Relpipe_cert.Cert.to_string cert))
-  with
-  | () -> Ok ()
-  | exception Sys_error msg ->
-      Error (Printf.sprintf "cannot write certificate %s: %s" path msg)
-
-let self_check_certificate ~path inst cert =
-  match Relpipe_cert.Check.check inst cert with
-  | Ok entries ->
-      Format.printf "certificate: %s (%d entries, checker accepted)@." path
-        entries;
-      Ok ()
-  | Error msg ->
-      Error
-        (Printf.sprintf "certificate self-check rejected %s: %s" path msg)
-
-let certify_solution ~path inst objective =
-  let best, cert = Certify.bb inst objective in
-  match write_certificate path cert with
-  | Error _ as e -> e
-  | Ok () -> (
-      match self_check_certificate ~path inst cert with
-      | Error _ as e -> e
-      | Ok () -> Ok best)
+  cmd "describe"
+    ~doc:"Classify an instance and report the applicable algorithm."
+    Term.(const run $ instance_arg)
 
 let solve_cmd =
   let certify_arg =
-    let doc =
+    opt_arg ~docv:"FILE" Arg.(some string) [ "certify" ] None
       "Write an optimality certificate (a replayable branch-and-bound \
        transcript) to $(docv) and replay it through the independent \
        checker before reporting.  Forces the exact branch-and-bound \
        solver; the answer is bit-identical to the uncertified solve."
-    in
-    Arg.(value & opt (some string) None & info [ "certify" ] ~docv:"FILE" ~doc)
   in
   let run path objective method_ certify =
-    match load_instance path with
-    | Error msg -> `Error (false, msg)
-    | Ok inst -> (
-        match certify with
-        | Some cert_path -> (
-            match certify_solution ~path:cert_path inst objective with
-            | Error msg -> `Error (false, msg)
-            | Ok (Some s) ->
-                print_solution inst s;
-                `Ok ()
-            | Ok None ->
-                Format.printf "no feasible mapping for %a@."
-                  Instance.pp_objective objective;
-                `Ok ()
-            | exception Invalid_argument msg -> `Error (false, msg))
-        | None -> (
-            match Solver.solve ~method_ inst objective with
-            | Some s ->
-                print_solution inst s;
-                `Ok ()
-            | None ->
-                Format.printf "no feasible mapping for %a@."
-                  Instance.pp_objective objective;
-                `Ok ()
-            | exception Invalid_argument msg -> `Error (false, msg)
-            | exception Exact.Too_large msg -> `Error (false, msg)))
+    let* inst = load_instance path in
+    let* best =
+      match certify with
+      | None -> solve ~method_ inst objective
+      | Some cert_path -> (
+          match Certify.bb inst objective with
+          | best, cert ->
+              Result.map
+                (fun () -> best)
+                (emit_certificate ~path:cert_path inst cert)
+          | exception Invalid_argument msg -> Error msg)
+    in
+    (match best with
+    | Some s -> print_solution inst s
+    | None -> print_infeasible objective);
+    `Ok ()
   in
-  let doc = "Solve a bi-criteria mapping problem." in
-  Cmd.v (Cmd.info "solve" ~doc)
-    Term.(
-      ret (const run $ instance_arg $ objective_arg $ method_arg $ certify_arg))
+  cmd "solve" ~doc:"Solve a bi-criteria mapping problem."
+    Term.(const run $ instance_arg $ objective_arg $ method_arg $ certify_arg)
 
 (* --- exact: the parallel/serial exact kernels, head to head --------- *)
 
 let exact_cmd =
   let leg_arg =
-    let doc =
+    opt_arg ~docv:"LEG"
+      (Arg.enum [ ("bb", `Bb); ("dp", `Dp) ])
+      [ "leg" ] `Bb
       "Exact kernel to run: $(b,bb) (branch and bound, full bi-criteria \
        objective) or $(b,dp) (interval DP, unreplicated minimum latency; \
        the objective bound is ignored)."
-    in
-    Arg.(value & opt (enum [ ("bb", `Bb); ("dp", `Dp) ]) `Bb
-         & info [ "leg" ] ~docv:"LEG" ~doc)
   in
   let workers_arg =
-    let doc =
+    opt_arg ~docv:"N" Arg.(some int) [ "w"; "workers" ] None
       "Run the parallel kernel over this many pool domains.  The answer \
        is bit-identical to $(b,--serial) at every worker count — diff the \
        outputs to check."
-    in
-    Arg.(value & opt (some int) None & info [ "w"; "workers" ] ~docv:"N" ~doc)
   in
   let serial_flag =
-    let doc = "Run the serial kernel (the default)." in
-    Arg.(value & flag & info [ "serial" ] ~doc)
+    flag_arg [ "serial" ]
+      "Run the serial kernel (the default)."
   in
   let certify_arg =
-    let doc =
+    opt_arg ~docv:"FILE" Arg.(some string) [ "certify" ] None
       "Write the optimality certificate for the chosen leg to $(docv) and \
        replay it through the independent checker."
-    in
-    Arg.(value & opt (some string) None & info [ "certify" ] ~docv:"FILE" ~doc)
   in
   (* Hex floats alongside %g so serial-vs-parallel runs can be compared
      byte-for-byte (tools/check.sh does exactly that). *)
@@ -209,67 +417,51 @@ let exact_cmd =
     | Some f -> Format.printf "failure:  %g (%h)@." f f
   in
   let run path objective leg workers serial certify =
-    match (workers, serial) with
-    | Some _, true -> `Error (true, "pass at most one of --workers and --serial")
-    | _ -> (
-        match load_instance path with
-        | Error msg -> `Error (false, msg)
-        | Ok inst -> (
-            let finish_cert emit =
-              match certify with
-              | None -> Ok ()
-              | Some cert_path -> (
-                  match emit () with
-                  | None -> Error "nothing to certify: no feasible mapping"
-                  | Some cert -> (
-                      match write_certificate cert_path cert with
-                      | Error _ as e -> e
-                      | Ok () -> self_check_certificate ~path:cert_path inst cert))
-            in
-            match leg with
-            | `Bb -> (
-                let solution =
-                  match workers with
-                  | None -> Bb.solve inst objective
-                  | Some w -> Bb.solve_par ~workers:w inst objective
-                in
-                (match solution with
-                 | Some s ->
-                     print_exact s.Solution.evaluation.Instance.latency
-                       (Some s.Solution.evaluation.Instance.failure)
-                       s.Solution.mapping
-                 | None ->
-                     Format.printf "no feasible mapping for %a@."
-                       Instance.pp_objective objective);
-                match
-                  finish_cert (fun () -> Some (snd (Certify.bb inst objective)))
-                with
-                | Ok () -> `Ok ()
-                | Error msg -> `Error (false, msg))
-            | `Dp -> (
-                if Platform.size inst.Instance.platform > Interval_exact.max_procs
-                then
-                  `Error
-                    ( false,
-                      Printf.sprintf
-                        "interval DP supports at most %d processors"
-                        Interval_exact.max_procs )
-                else
-                  let opt =
-                    match workers with
-                    | None -> Interval_exact.min_latency inst
-                    | Some w -> Interval_exact.min_latency_par ~workers:w inst
-                  in
-                  (match opt with
-                   | Some (latency, mapping) -> print_exact latency None mapping
-                   | None -> Format.printf "no interval mapping@.");
-                  match
-                    finish_cert (fun () -> snd (Certify.interval inst))
-                  with
-                  | Ok () -> `Ok ()
-                  | Error msg -> `Error (false, msg))))
+    if Option.is_some workers && serial then
+      `Error (true, "pass at most one of --workers and --serial")
+    else
+      let* inst = load_instance path in
+      let certificate emit =
+        match certify with
+        | None -> Ok ()
+        | Some cert_path -> (
+            match emit () with
+            | None -> Error "nothing to certify: no feasible mapping"
+            | Some cert -> emit_certificate ~path:cert_path inst cert)
+      in
+      match leg with
+      | `Bb ->
+          (match
+             match workers with
+             | None -> Bb.solve inst objective
+             | Some w -> Bb.solve_par ~workers:w inst objective
+           with
+          | Some s ->
+              print_exact s.Solution.evaluation.Instance.latency
+                (Some s.Solution.evaluation.Instance.failure)
+                s.Solution.mapping
+          | None -> print_infeasible objective);
+          let* () =
+            certificate (fun () -> Some (snd (Certify.bb inst objective)))
+          in
+          `Ok ()
+      | `Dp when Platform.size inst.Instance.platform > Interval_exact.max_procs
+        ->
+          `Error
+            ( false,
+              Printf.sprintf "interval DP supports at most %d processors"
+                Interval_exact.max_procs )
+      | `Dp ->
+          (match
+             match workers with
+             | None -> Interval_exact.min_latency inst
+             | Some w -> Interval_exact.min_latency_par ~workers:w inst
+           with
+          | Some (latency, mapping) -> print_exact latency None mapping
+          | None -> Format.printf "no interval mapping@.");
+          let* () = certificate (fun () -> snd (Certify.interval inst)) in
+          `Ok ()
   in
-  let doc = "Run the exact kernels, serial or parallel, optionally certified." in
   let man =
     [
       `S Manpage.s_description;
@@ -288,11 +480,11 @@ let exact_cmd =
          re-checks a stored certificate later.";
     ]
   in
-  Cmd.v (Cmd.info "exact" ~doc ~man)
+  cmd "exact" ~man
+    ~doc:"Run the exact kernels, serial or parallel, optionally certified."
     Term.(
-      ret
-        (const run $ instance_arg $ objective_arg $ leg_arg $ workers_arg
-       $ serial_flag $ certify_arg))
+      const run $ instance_arg $ objective_arg $ leg_arg $ workers_arg
+      $ serial_flag $ certify_arg)
 
 (* --- cert: independent certificate checking ------------------------ *)
 
@@ -302,28 +494,20 @@ let cert_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"CERTFILE" ~doc)
   in
   let run path cert_path =
-    match load_instance path with
-    | Error msg -> `Error (false, msg)
-    | Ok inst -> (
-        let parsed =
-          match In_channel.with_open_text cert_path In_channel.input_all with
-          | text -> Relpipe_cert.Cert.of_string text
-          | exception Sys_error msg -> Error msg
-        in
-        match parsed with
+    let* inst = load_instance path in
+    match Result.bind (read_file cert_path) Relpipe_cert.Cert.of_string with
+    | Error msg ->
+        Format.eprintf "%s: unreadable certificate: %s@." cert_path msg;
+        exit_with 1
+    | Ok cert -> (
+        match Relpipe_cert.Check.check inst cert with
+        | Ok entries ->
+            Format.printf "%s: accepted (%d entries)@." cert_path entries;
+            `Ok ()
         | Error msg ->
-            Format.eprintf "%s: unreadable certificate: %s@." cert_path msg;
-            Stdlib.exit 1
-        | Ok cert -> (
-            match Relpipe_cert.Check.check inst cert with
-            | Ok entries ->
-                Format.printf "%s: accepted (%d entries)@." cert_path entries;
-                `Ok ()
-            | Error msg ->
-                Format.eprintf "%s: REJECTED: %s@." cert_path msg;
-                Stdlib.exit 1))
+            Format.eprintf "%s: REJECTED: %s@." cert_path msg;
+            exit_with 1)
   in
-  let doc = "Check an optimality certificate against an instance." in
   let man =
     [
       `S Manpage.s_description;
@@ -338,79 +522,66 @@ let cert_cmd =
       `P "Exit status is 1 when the certificate is rejected, 0 otherwise.";
     ]
   in
-  Cmd.v (Cmd.info "cert" ~doc ~man)
-    Term.(ret (const run $ instance_arg $ cert_file_arg))
+  cmd "cert" ~man ~doc:"Check an optimality certificate against an instance."
+    Term.(const run $ instance_arg $ cert_file_arg)
 
 let simulate_cmd =
   let trials_arg =
-    let doc = "Number of Monte-Carlo trials." in
-    Arg.(value & opt int 10_000 & info [ "t"; "trials" ] ~doc)
-  in
-  let seed_arg =
-    let doc = "Random seed." in
-    Arg.(value & opt int 42 & info [ "s"; "seed" ] ~doc)
+    opt_arg Arg.int [ "t"; "trials" ] 10_000 "Number of Monte-Carlo trials."
   in
   let run path objective method_ trials seed =
-    match load_instance path with
-    | Error msg -> `Error (false, msg)
-    | Ok inst -> (
-        match Solver.solve ~method_ inst objective with
-        | None -> `Error (false, "no feasible mapping to simulate")
-        | Some s ->
-            print_solution inst s;
-            let rng = Relpipe_util.Rng.create seed in
-            let r =
-              Relpipe_sim.Montecarlo.estimate rng inst s.Solution.mapping ~trials
-                ~policy:Relpipe_sim.Trial.Optimistic
-            in
-            Format.printf "%a@." Relpipe_sim.Montecarlo.pp_result r;
-            `Ok ()
-        | exception Invalid_argument msg -> `Error (false, msg))
+    let* inst = load_instance path in
+    let* s = solve_to_run ~method_ inst objective in
+    let rng = Relpipe_util.Rng.create seed in
+    let r =
+      Relpipe_sim.Montecarlo.estimate rng inst s.Solution.mapping ~trials
+        ~policy:Relpipe_sim.Trial.Optimistic
+    in
+    Format.printf "%a@." Relpipe_sim.Montecarlo.pp_result r;
+    `Ok ()
   in
-  let doc = "Solve, then validate the mapping by Monte-Carlo simulation." in
-  Cmd.v (Cmd.info "simulate" ~doc)
+  cmd "simulate"
+    ~doc:"Solve, then validate the mapping by Monte-Carlo simulation."
     Term.(
-      ret (const run $ instance_arg $ objective_arg $ method_arg $ trials_arg
-           $ seed_arg))
+      const run $ instance_arg $ objective_arg $ method_arg $ trials_arg
+      $ seed_arg 42)
 
 let pareto_cmd =
   let count_arg =
-    let doc = "Number of latency thresholds to sweep." in
-    Arg.(value & opt int 8 & info [ "n"; "points" ] ~doc)
+    opt_arg Arg.int [ "n"; "points" ] 8 "Number of latency thresholds to sweep."
   in
   let run path method_ count =
-    match load_instance path with
-    | Error msg -> `Error (false, msg)
-    | Ok inst ->
-        let front =
-          Pareto.front_with
-            (fun inst objective -> Solver.solve ~method_ inst objective)
-            inst ~count
-        in
-        let table =
-          Relpipe_util.Table.create
-            [ "threshold"; "latency"; "failure"; "intervals"; "replicas" ]
-        in
-        List.iter
-          (fun p ->
-            Relpipe_util.Table.add_row table
-              [
-                Relpipe_util.Table.fmt_float p.Pareto.threshold;
-                Relpipe_util.Table.fmt_float
-                  p.Pareto.solution.Solution.evaluation.Instance.latency;
-                Relpipe_util.Table.fmt_float
-                  p.Pareto.solution.Solution.evaluation.Instance.failure;
-                string_of_int (Mapping.num_intervals p.Pareto.solution.Solution.mapping);
-                string_of_int
-                  (List.length (Mapping.used_procs p.Pareto.solution.Solution.mapping));
-              ])
-          front;
-        Relpipe_util.Table.print table;
-        `Ok ()
+    let* inst = load_instance path in
+    let exception Failed of string in
+    let* front =
+      match
+        Pareto.front_with
+          (fun inst objective ->
+            match solve ~method_ inst objective with
+            | Ok s -> s
+            | Error msg -> raise (Failed msg))
+          inst ~count
+      with
+      | front -> Ok front
+      | exception Failed msg -> Error msg
+    in
+    print_table
+      [ "threshold"; "latency"; "failure"; "intervals"; "replicas" ]
+      (List.map
+         (fun { Pareto.threshold; solution } ->
+           let { Solution.mapping; evaluation } = solution in
+           [
+             Table.fmt_float threshold;
+             Table.fmt_float evaluation.Instance.latency;
+             Table.fmt_float evaluation.Instance.failure;
+             string_of_int (Mapping.num_intervals mapping);
+             string_of_int (List.length (Mapping.used_procs mapping));
+           ])
+         front);
+    `Ok ()
   in
-  let doc = "Print the latency/reliability Pareto front of an instance." in
-  Cmd.v (Cmd.info "pareto" ~doc)
-    Term.(ret (const run $ instance_arg $ method_arg $ count_arg))
+  cmd "pareto" ~doc:"Print the latency/reliability Pareto front of an instance."
+    Term.(const run $ instance_arg $ method_arg $ count_arg)
 
 let eval_cmd =
   let mapping_arg =
@@ -421,26 +592,20 @@ let eval_cmd =
     Arg.(required & opt (some string) None & info [ "mapping" ] ~doc)
   in
   let run path objective mapping_text =
-    match load_instance path with
-    | Error msg -> `Error (false, msg)
-    | Ok inst -> (
-        let n = Pipeline.length inst.Instance.pipeline in
-        let m = Platform.size inst.Instance.platform in
-        match Mapping_syntax.parse ~n ~m mapping_text with
-        | Error msg -> `Error (false, msg)
-        | Ok mapping ->
-            let s = Solution.of_mapping inst mapping in
-            print_solution inst s;
-            Format.printf "period:   %g@."
-              (Period.of_mapping inst.Instance.pipeline inst.Instance.platform
-                 mapping);
-            let report = Validate.check inst objective s in
-            Format.printf "%a@." Validate.pp report;
-            if Validate.ok report then `Ok () else `Error (false, "validation failed"))
+    let* inst = load_instance path in
+    let n = Pipeline.length inst.Instance.pipeline in
+    let m = Platform.size inst.Instance.platform in
+    let* mapping = Mapping_syntax.parse ~n ~m mapping_text in
+    let s = Solution.of_mapping inst mapping in
+    print_solution inst s;
+    Format.printf "period:   %g@."
+      (Period.of_mapping inst.Instance.pipeline inst.Instance.platform mapping);
+    let report = Validate.check inst objective s in
+    Format.printf "%a@." Validate.pp report;
+    if Validate.ok report then `Ok () else `Error (false, "validation failed")
   in
-  let doc = "Evaluate and certify a user-supplied mapping." in
-  Cmd.v (Cmd.info "eval" ~doc)
-    Term.(ret (const run $ instance_arg $ objective_arg $ mapping_arg))
+  cmd "eval" ~doc:"Evaluate and certify a user-supplied mapping."
+    Term.(const run $ instance_arg $ objective_arg $ mapping_arg)
 
 let tri_cmd =
   let latency_arg =
@@ -452,103 +617,81 @@ let tri_cmd =
     Arg.(required & opt (some float) None & info [ "P"; "max-period" ] ~doc)
   in
   let exact_arg =
-    let doc = "Use the exhaustive solver (small instances only)." in
-    Arg.(value & flag & info [ "exact" ] ~doc)
+    flag_arg [ "exact" ] "Use the exhaustive solver (small instances only)."
   in
   let run path max_latency max_period exact =
-    match load_instance path with
-    | Error msg -> `Error (false, msg)
-    | Ok inst -> (
-        let constraints = { Tri.max_latency; max_period } in
-        let solve =
-          if exact then Tri.exact_min_failure ?budget:None
-          else Tri.greedy_min_failure
-        in
-        match solve inst constraints with
-        | None ->
-            Format.printf "no mapping satisfies latency <= %g and period <= %g@."
-              max_latency max_period;
-            `Ok ()
-        | Some s ->
-            Format.printf "mapping: %a@.%a@." Mapping.pp s.Tri.mapping
-              Tri.pp_evaluation s.Tri.evaluation;
-            `Ok ()
-        | exception Exact.Too_large msg -> `Error (false, msg))
+    let* inst = load_instance path in
+    let constraints = { Tri.max_latency; max_period } in
+    let solve =
+      if exact then Tri.exact_min_failure ?budget:None
+      else Tri.greedy_min_failure
+    in
+    match solve inst constraints with
+    | None ->
+        Format.printf "no mapping satisfies latency <= %g and period <= %g@."
+          max_latency max_period;
+        `Ok ()
+    | Some s ->
+        Format.printf "mapping: %a@.%a@." Mapping.pp s.Tri.mapping
+          Tri.pp_evaluation s.Tri.evaluation;
+        `Ok ()
+    | exception Exact.Too_large msg -> `Error (false, msg)
   in
-  let doc =
-    "Minimize failure probability under joint latency and period bounds \
-     (tri-criteria extension)."
-  in
-  Cmd.v (Cmd.info "tri" ~doc)
-    Term.(ret (const run $ instance_arg $ latency_arg $ period_arg $ exact_arg))
+  cmd "tri"
+    ~doc:
+      "Minimize failure probability under joint latency and period bounds \
+       (tri-criteria extension)."
+    Term.(const run $ instance_arg $ latency_arg $ period_arg $ exact_arg)
 
 let goodput_cmd =
   let mission_arg =
-    let doc =
+    opt_arg Arg.float [ "mission" ] 1000.0
       "Mission length (time units); failure rates are derived from each \
        processor's fp over this horizon."
-    in
-    Arg.(value & opt float 1000.0 & info [ "mission" ] ~doc)
   in
   let trials_arg =
-    let doc = "Number of simulated missions." in
-    Arg.(value & opt int 1000 & info [ "t"; "trials" ] ~doc)
-  in
-  let seed_arg =
-    let doc = "Random seed." in
-    Arg.(value & opt int 42 & info [ "s"; "seed" ] ~doc)
+    opt_arg Arg.int [ "t"; "trials" ] 1000 "Number of simulated missions."
   in
   let run path objective method_ mission trials seed =
-    match load_instance path with
-    | Error msg -> `Error (false, msg)
-    | Ok inst -> (
-        match Solver.solve ~method_ inst objective with
-        | None -> `Error (false, "no feasible mapping to simulate")
-        | Some s ->
-            print_solution inst s;
-            let platform = inst.Instance.platform in
-            let rates =
-              Array.init (Platform.size platform) (fun u ->
-                  Failure_rate.rate_of_fp ~fp:(Platform.failure platform u)
-                    ~mission)
-            in
-            let rng = Relpipe_util.Rng.create seed in
-            let goodputs =
-              Array.init trials (fun _ ->
-                  (Relpipe_sim.Lifetime.run rng inst s.Solution.mapping ~rates
-                     ~mission)
-                    .Relpipe_sim.Lifetime.goodput)
-            in
-            let empirical, analytic =
-              Relpipe_sim.Lifetime.survival_estimate rng inst s.Solution.mapping
-                ~rates ~mission ~trials
-            in
-            Format.printf "goodput: %a@."
-              Relpipe_util.Stats.pp_summary
-              (Relpipe_util.Stats.summarize goodputs);
-            Format.printf "mission survival: empirical %.4f, analytic %.4f@."
-              empirical analytic;
-            `Ok ()
-        | exception Invalid_argument msg -> `Error (false, msg))
+    let* inst = load_instance path in
+    let* s = solve_to_run ~method_ inst objective in
+    let platform = inst.Instance.platform in
+    let rates =
+      Array.init (Platform.size platform) (fun u ->
+          Failure_rate.rate_of_fp ~fp:(Platform.failure platform u) ~mission)
+    in
+    let rng = Relpipe_util.Rng.create seed in
+    let goodputs =
+      Array.init trials (fun _ ->
+          (Relpipe_sim.Lifetime.run rng inst s.Solution.mapping ~rates ~mission)
+            .Relpipe_sim.Lifetime.goodput)
+    in
+    let empirical, analytic =
+      Relpipe_sim.Lifetime.survival_estimate rng inst s.Solution.mapping ~rates
+        ~mission ~trials
+    in
+    Format.printf "goodput: %a@." Relpipe_util.Stats.pp_summary
+      (Relpipe_util.Stats.summarize goodputs);
+    Format.printf "mission survival: empirical %.4f, analytic %.4f@." empirical
+      analytic;
+    `Ok ()
   in
-  let doc =
-    "Solve, then measure goodput (fraction of the stream completed before \
-     a compromise) over simulated missions."
-  in
-  Cmd.v (Cmd.info "goodput" ~doc)
+  cmd "goodput"
+    ~doc:
+      "Solve, then measure goodput (fraction of the stream completed before \
+       a compromise) over simulated missions."
     Term.(
-      ret
-        (const run $ instance_arg $ objective_arg $ method_arg $ mission_arg
-        $ trials_arg $ seed_arg))
+      const run $ instance_arg $ objective_arg $ method_arg $ mission_arg
+      $ trials_arg $ seed_arg 42)
 
 let experiments_cmd =
   let only_arg =
-    let doc = "Only run experiments whose title contains this string (e.g. \"E5\")." in
-    Arg.(value & opt (some string) None & info [ "only" ] ~doc)
+    opt_arg Arg.(some string) [ "only" ] None
+      "Only run experiments whose title contains this string (e.g. \"E5\")."
   in
   let markdown_arg =
-    let doc = "Emit GitHub-flavoured markdown tables." in
-    Arg.(value & flag & info [ "markdown" ] ~doc)
+    flag_arg [ "markdown" ]
+      "Emit GitHub-flavoured markdown tables."
   in
   let run only markdown =
     let contains needle hay =
@@ -568,78 +711,70 @@ let experiments_cmd =
         (fun (title, table) ->
           if markdown then begin
             Printf.printf "## %s\n\n" title;
-            print_string (Relpipe_util.Table.render_markdown table)
+            print_string (Table.render_markdown table)
           end
           else begin
             print_endline title;
             print_endline (String.make (String.length title) '=');
-            Relpipe_util.Table.print table
+            Table.print table
           end;
           print_newline ())
         selected;
       `Ok ()
     end
   in
-  let doc = "Regenerate the paper experiments (DESIGN.md E1-E24)." in
-  Cmd.v (Cmd.info "experiments" ~doc)
-    Term.(ret (const run $ only_arg $ markdown_arg))
+  cmd "experiments" ~doc:"Regenerate the paper experiments (DESIGN.md E1-E24)."
+    Term.(const run $ only_arg $ markdown_arg)
 
 let catalog_cmd =
+  let module Catalog = Relpipe_workload.Catalog in
   let write_arg =
-    let doc =
+    opt_arg Arg.(some string) [ "write" ] None
       "Write an instance file combining this preset platform with the JPEG \
        encoder pipeline."
-    in
-    Arg.(value & opt (some string) None & info [ "write" ] ~doc)
   in
   let out_arg =
-    let doc = "Output path for --write." in
-    Arg.(value & opt string "catalog.relpipe" & info [ "o"; "output" ] ~doc)
+    opt_arg Arg.string [ "o"; "output" ] "catalog.relpipe"
+      "Output path for --write."
   in
   let run write out =
     match write with
     | None ->
-        let table =
-          Relpipe_util.Table.create
-            ~aligns:[ Relpipe_util.Table.Left; Relpipe_util.Table.Right;
-                      Relpipe_util.Table.Left; Relpipe_util.Table.Left ]
-            [ "name"; "m"; "classes"; "description" ]
-        in
-        List.iter
-          (fun e ->
-            let p = e.Relpipe_workload.Catalog.platform in
-            Relpipe_util.Table.add_row table
-              [
-                e.Relpipe_workload.Catalog.name;
-                string_of_int (Platform.size p);
-                Format.asprintf "%a, %a" Classify.pp_comm_class
-                  (Classify.comm_class p) Classify.pp_failure_class
-                  (Classify.failure_class p);
-                e.Relpipe_workload.Catalog.description;
-              ])
-          Relpipe_workload.Catalog.all;
-        Relpipe_util.Table.print table;
+        print_table
+          ~aligns:Table.[ Left; Right; Left; Left ]
+          [ "name"; "m"; "classes"; "description" ]
+          (List.map
+             (fun { Catalog.name; description; platform = p } ->
+               [
+                 name;
+                 string_of_int (Platform.size p);
+                 Format.asprintf "%a, %a" Classify.pp_comm_class
+                   (Classify.comm_class p) Classify.pp_failure_class
+                   (Classify.failure_class p);
+                 description;
+               ])
+             Catalog.all);
         `Ok ()
     | Some name -> (
-        match Relpipe_workload.Catalog.find name with
+        match Catalog.find name with
         | None -> `Error (false, Printf.sprintf "unknown preset %S" name)
         | Some e ->
             let inst =
               Instance.make
                 (Relpipe_workload.Jpeg.pipeline ())
-                e.Relpipe_workload.Catalog.platform
+                e.Catalog.platform
             in
-            Out_channel.with_open_text out (fun oc ->
-                Out_channel.output_string oc
-                  (Printf.sprintf "# %s: %s\n"
-                     e.Relpipe_workload.Catalog.name
-                     e.Relpipe_workload.Catalog.description
-                  ^ Textio.to_string inst));
+            let* () =
+              write_file out (fun oc ->
+                  Printf.fprintf oc "# %s: %s\n%s" e.Catalog.name
+                    e.Catalog.description (Textio.to_string inst))
+            in
             Format.printf "wrote %s@." out;
             `Ok ())
   in
-  let doc = "List the built-in platform presets, or export one as an instance." in
-  Cmd.v (Cmd.info "catalog" ~doc) Term.(ret (const run $ write_arg $ out_arg))
+  cmd "catalog"
+    ~doc:"List the built-in platform presets, or export one as an instance."
+    Term.(const run $ write_arg $ out_arg)
 
 let lint_cmd =
   let module A = Relpipe_analysis in
@@ -650,49 +785,15 @@ let lint_cmd =
     in
     Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
   in
-  let format_arg =
-    let doc = "Output format: text or json." in
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~doc)
-  in
   let mapping_arg =
-    let doc =
+    opt_arg Arg.(some string) [ "mapping" ] None
       "Also lint this mapping (e.g. \"1-2:0; 3:1,2\") against the instance."
-    in
-    Arg.(value & opt (some string) None & info [ "mapping" ] ~doc)
   in
-  let rules_flag =
-    let doc = "Print the rule catalog and exit." in
-    Arg.(value & flag & info [ "rules" ] ~doc)
-  in
+  let rules_flag = flag_arg [ "rules" ] "Print the rule catalog and exit." in
   let builtin_flag =
-    let doc =
+    flag_arg [ "builtin" ]
       "Lint the built-in catalog presets and paper scenarios instead of a \
        file."
-    in
-    Arg.(value & flag & info [ "builtin" ] ~doc)
-  in
-  let print_rules () =
-    let table =
-      Relpipe_util.Table.create
-        ~aligns:
-          [ Relpipe_util.Table.Left; Relpipe_util.Table.Left;
-            Relpipe_util.Table.Left; Relpipe_util.Table.Left ]
-        [ "id"; "severity"; "pass"; "title" ]
-    in
-    List.iter
-      (fun r ->
-        Relpipe_util.Table.add_row table
-          [
-            r.A.Rule.id;
-            A.Severity.to_string r.A.Rule.severity;
-            A.Rule.pass_name r.A.Rule.pass;
-            r.A.Rule.title;
-          ])
-      (A.Analysis.rules ());
-    Relpipe_util.Table.print table
   in
   let report_text ~file diags =
     if diags = [] then Format.printf "%s: clean@." file
@@ -701,14 +802,7 @@ let lint_cmd =
   in
   (* Exit reflects the worst finding: 2 on errors, 1 on warnings, 0
      otherwise (hints are informational). *)
-  let finish diags =
-    let code = A.Diagnostic.exit_code diags in
-    if code = 0 then `Ok ()
-    else begin
-      Format.print_flush ();
-      Stdlib.exit code
-    end
-  in
+  let finish diags = exit_with (A.Diagnostic.exit_code diags) in
   let builtin_instances () =
     let jpeg = Relpipe_workload.Jpeg.pipeline () in
     List.map
@@ -725,7 +819,16 @@ let lint_cmd =
   in
   let run file format mapping rules builtin =
     if rules then begin
-      print_rules ();
+      print_rule_catalog ~group:"pass"
+        (List.map
+           (fun r ->
+             [
+               r.A.Rule.id;
+               A.Severity.to_string r.A.Rule.severity;
+               A.Rule.pass_name r.A.Rule.pass;
+               r.A.Rule.title;
+             ])
+           (A.Analysis.rules ()));
       `Ok ()
     end
     else if builtin then begin
@@ -746,7 +849,11 @@ let lint_cmd =
       | None ->
           `Error (true, "pass an instance FILE (or --rules / --builtin)")
       | Some path ->
-          let text = In_channel.with_open_text path In_channel.input_all in
+          let* text =
+            Result.map_error
+              (Printf.sprintf "cannot read %s: %s" path)
+              (read_file path)
+          in
           let instance_diags = A.Analysis.lint_instance_text text in
           let mapping_diags =
             match mapping with
@@ -772,7 +879,6 @@ let lint_cmd =
                    (instance_diags @ mapping_diags)));
           finish (instance_diags @ mapping_diags)
   in
-  let doc = "Statically check an instance (and optionally a mapping)." in
   let man =
     [
       `S Manpage.s_description;
@@ -786,121 +892,15 @@ let lint_cmd =
          otherwise.";
     ]
   in
-  Cmd.v (Cmd.info "lint" ~doc ~man)
+  cmd "lint" ~man
+    ~doc:"Statically check an instance (and optionally a mapping)."
     Term.(
-      ret
-        (const run $ file_arg $ format_arg $ mapping_arg $ rules_flag
-       $ builtin_flag))
+      const run $ file_arg $ format_arg $ mapping_arg $ rules_flag
+      $ builtin_flag)
 
 (* ------------------------------------------------------------------ *)
 (* Batch service                                                       *)
 (* ------------------------------------------------------------------ *)
-
-let workers_arg =
-  let doc =
-    "Worker domains for the solve phase (0 = all CPUs).  Clamped to the \
-     detected CPU count unless $(b,--exact-workers) is set."
-  in
-  Arg.(value & opt int 0 & info [ "w"; "workers" ] ~doc)
-
-let exact_workers_arg =
-  let doc =
-    "Spawn exactly the requested number of domains, even beyond the CPU \
-     count (oversubscription; used by tests to exercise scheduling on \
-     small machines).  Output is byte-identical either way."
-  in
-  Arg.(value & flag & info [ "exact-workers" ] ~doc)
-
-let cache_size_arg =
-  let doc = "Result-cache capacity (canonical instances; 0 disables)." in
-  Arg.(value & opt int 1024 & info [ "cache-size" ] ~doc)
-
-let stats_flag =
-  let doc = "Print engine and cache counters to stderr after the batch." in
-  Arg.(value & flag & info [ "stats" ] ~doc)
-
-let output_arg =
-  let doc = "Write JSONL responses here ($(b,-) = stdout)." in
-  Arg.(value & opt string "-" & info [ "o"; "output" ] ~doc)
-
-let make_engine ?obs ?(cache_shards = 1) ~workers ~exact_workers ~cache_size ()
-    =
-  let workers =
-    if workers <= 0 then Pool.cpu_count () else workers
-  in
-  Service.Engine.create ?obs ~workers ~cap_to_cpus:(not exact_workers)
-    ~cache_capacity:cache_size ~cache_shards ()
-
-(* Write failures on the response sink (unwritable path, ENOSPC, a
-   closed pipe) surface as a typed CLI error naming the path, never an
-   uncaught Sys_error — and never a silently truncated batch. *)
-let guard_write name write =
-  match write () with
-  | () -> Ok ()
-  | exception Sys_error msg ->
-      Error (Printf.sprintf "cannot write %s: %s" name msg)
-
-let write_file path f =
-  guard_write path (fun () ->
-      (* Flush inside the guarded region: with_open_text closes with
-         close_noerr, which would swallow an ENOSPC at close time. *)
-      Out_channel.with_open_text path (fun oc ->
-          f oc;
-          Out_channel.flush oc))
-
-let with_output path f =
-  if path <> "-" then write_file path f
-  else
-    guard_write "stdout" (fun () ->
-        f stdout;
-        flush stdout)
-
-let finish_batch engine stats =
-  if stats then
-    Format.eprintf "%a@." Service.Engine.pp_stats (Service.Engine.stats engine)
-
-let metrics_arg =
-  let doc = "Write a JSONL metric snapshot here after the batch." in
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-
-let trace_arg =
-  let doc = "Write the JSONL span/event trace here after the batch." in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
-let virtual_clock_flag =
-  let doc =
-    "Timestamp metrics and traces with a deterministic virtual clock \
-     (fixed tick per reading) instead of the monotonic clock, so the \
-     files are byte-identical across runs and worker counts."
-  in
-  Arg.(value & flag & info [ "virtual-clock" ] ~doc)
-
-let make_obs ~tracing ~virtual_clock =
-  let clock =
-    if virtual_clock then Relpipe_obs.Clock.virtual_ ()
-    else Relpipe_obs.Clock.monotonic ()
-  in
-  Relpipe_obs.Obs.create ~tracing ~clock ()
-
-(* Observability sinks are opened eagerly, before any solving, so a bad
-   path fails the command instead of discarding a finished batch. *)
-let open_sink = function
-  | None -> Ok None
-  | Some path -> (
-      match Out_channel.open_text path with
-      | oc -> Ok (Some oc)
-      | exception Sys_error msg -> Error msg)
-
-let close_sink = function
-  | None -> ()
-  | Some oc -> Out_channel.close oc
-
-let write_sink sink content =
-  match sink with
-  | None -> ()
-  | Some oc ->
-      Out_channel.output_string oc content;
-      Out_channel.close oc
 
 let batch_cmd =
   let input_arg =
@@ -909,57 +909,15 @@ let batch_cmd =
   in
   let run input output workers exact_workers cache_size stats metrics trace
       virtual_clock =
-    match (open_sink metrics, open_sink trace) with
-    | Error msg, other ->
-        (match other with Ok s -> close_sink s | Error _ -> ());
-        `Error (false, msg)
-    | Ok metrics_sink, Error msg ->
-        close_sink metrics_sink;
-        `Error (false, msg)
-    | Ok metrics_sink, Ok trace_sink -> (
-        match
-          match input with
-          | "-" -> In_channel.input_lines stdin
-          | path -> In_channel.with_open_text path In_channel.input_lines
-        with
-        | exception Sys_error msg ->
-            close_sink metrics_sink;
-            close_sink trace_sink;
-            `Error (false, msg)
-        | lines -> (
-            let obs =
-              match (metrics_sink, trace_sink) with
-              | None, None -> None
-              | _ ->
-                  Some
-                    (make_obs
-                       ~tracing:(Option.is_some trace_sink)
-                       ~virtual_clock)
-            in
-            let engine = make_engine ?obs ~workers ~exact_workers ~cache_size () in
-            let responses = Service.Engine.run_lines engine lines in
-            match
-              with_output output (fun oc ->
-                  List.iter
-                    (fun line ->
-                      Out_channel.output_string oc line;
-                      Out_channel.output_char oc '\n')
-                    responses)
-            with
-            | Error msg ->
-                close_sink metrics_sink;
-                close_sink trace_sink;
-                `Error (false, msg)
-            | Ok () ->
-                (match obs with
-                | None -> ()
-                | Some o ->
-                    write_sink metrics_sink (Relpipe_obs.Obs.metrics_jsonl o);
-                    write_sink trace_sink (Relpipe_obs.Obs.trace_jsonl o));
-                finish_batch engine stats;
-                `Ok ()))
+    with_obs_sinks ~virtual_clock ~metrics ~trace (fun obs write_obs ->
+        let* lines = read_lines input in
+        let engine = make_engine ?obs ~workers ~exact_workers ~cache_size () in
+        let responses = Service.Engine.run_lines engine lines in
+        let* () = with_output output (output_lines responses) in
+        let* () = write_obs () in
+        finish_batch engine stats;
+        `Ok ())
   in
-  let doc = "Batch-solve a JSON-lines request stream." in
   let man =
     [
       `S Manpage.s_description;
@@ -986,68 +944,57 @@ let batch_cmd =
          byte-deterministic for every worker count.";
     ]
   in
-  Cmd.v (Cmd.info "batch" ~doc ~man)
+  cmd "batch" ~man ~doc:"Batch-solve a JSON-lines request stream."
     Term.(
-      ret
-        (const run $ input_arg $ output_arg $ workers_arg $ exact_workers_arg
-       $ cache_size_arg $ stats_flag $ metrics_arg $ trace_arg
-       $ virtual_clock_flag))
+      const run $ input_arg $ output_arg $ workers_arg $ exact_workers_arg
+      $ cache_size_arg $ stats_flag $ metrics_arg $ trace_arg
+      $ virtual_clock_flag)
 
 let prof_cmd =
   let run path objective method_ virtual_clock =
-    match load_instance path with
-    | Error msg -> `Error (false, msg)
-    | Ok inst ->
-        let obs = make_obs ~tracing:true ~virtual_clock in
-        let engine = Service.Engine.create ~obs ~workers:1 () in
-        let r = Service.Engine.solve_instance engine ~method_ inst objective in
-        (match r.Service.Protocol.r_outcome with
-        | Service.Protocol.Solved { mapping; latency; failure } ->
-            Format.printf "status:   solved@.";
-            Format.printf "mapping:  %s@." mapping;
-            Format.printf "latency:  %g@." latency;
-            Format.printf "failure:  %g@." failure
-        | Service.Protocol.Infeasible -> Format.printf "status:   infeasible@."
-        | Service.Protocol.Failed msg ->
-            Format.printf "status:   error (%s)@." msg);
-        let module T = Relpipe_util.Table in
-        print_newline ();
-        let phases = T.create [ "span"; "start_ns"; "dur_ns" ] in
-        (match obs.Relpipe_obs.Obs.trace with
-        | None -> ()
-        | Some tr ->
-            List.iter
-              (fun (ev : Relpipe_obs.Trace.event) ->
-                match ev.Relpipe_obs.Trace.dur with
-                | Some d
-                  when String.starts_with ~prefix:"engine." ev.Relpipe_obs.Trace.name
-                  ->
-                    T.add_row phases
-                      [
-                        ev.Relpipe_obs.Trace.name;
-                        string_of_int ev.Relpipe_obs.Trace.ts;
-                        string_of_int d;
-                      ]
-                | _ -> ())
-              (Relpipe_obs.Trace.events tr));
-        print_string (T.render phases);
-        print_newline ();
-        let metrics = T.create [ "metric"; "value" ] in
-        List.iter
-          (fun (name, view) ->
-            let value =
-              match view with
-              | Relpipe_obs.Metric.Counter_v v | Relpipe_obs.Metric.Gauge_v v ->
-                  string_of_int v
-              | Relpipe_obs.Metric.Histogram_v { count; sum } ->
-                  Printf.sprintf "n=%d sum=%s" count (T.fmt_float sum)
-            in
-            T.add_row metrics [ name; value ])
-          (Relpipe_obs.Metric.bindings obs.Relpipe_obs.Obs.metrics);
-        print_string (T.render metrics);
-        `Ok ()
+    let* inst = load_instance path in
+    let obs = make_obs ~tracing:true ~virtual_clock in
+    let engine = Service.Engine.create ~obs ~workers:1 () in
+    let r = Service.Engine.solve_instance engine ~method_ inst objective in
+    (match r.Service.Protocol.r_outcome with
+    | Service.Protocol.Solved { mapping; latency; failure } ->
+        Format.printf "status:   solved@.";
+        Format.printf "mapping:  %s@." mapping;
+        Format.printf "latency:  %g@." latency;
+        Format.printf "failure:  %g@." failure
+    | Service.Protocol.Infeasible -> Format.printf "status:   infeasible@."
+    | Service.Protocol.Failed msg ->
+        Format.printf "status:   error (%s)@." msg);
+    let module Trace = Relpipe_obs.Trace in
+    let module Metric = Relpipe_obs.Metric in
+    print_newline ();
+    print_table [ "span"; "start_ns"; "dur_ns" ]
+      (match obs.Obs.trace with
+      | None -> []
+      | Some tr ->
+          List.filter_map
+            (fun (ev : Trace.event) ->
+              match ev.Trace.dur with
+              | Some d
+                when String.starts_with ~prefix:"engine." ev.Trace.name ->
+                  let start = string_of_int ev.Trace.ts in
+                  Some [ ev.Trace.name; start; string_of_int d ]
+              | _ -> None)
+            (Trace.events tr));
+    print_newline ();
+    print_table [ "metric"; "value" ]
+      (List.map
+         (fun (name, view) ->
+           [
+             name;
+             (match view with
+             | Metric.Counter_v v | Metric.Gauge_v v -> string_of_int v
+             | Metric.Histogram_v { count; sum } ->
+                 Printf.sprintf "n=%d sum=%s" count (Table.fmt_float sum));
+           ])
+         (Metric.bindings obs.Obs.metrics));
+    `Ok ()
   in
-  let doc = "Profile one solve: per-phase spans and solver counters." in
   let man =
     [
       `S Manpage.s_description;
@@ -1064,20 +1011,14 @@ let prof_cmd =
          byte-for-byte.";
     ]
   in
-  Cmd.v (Cmd.info "prof" ~doc ~man)
+  cmd "prof" ~man ~doc:"Profile one solve: per-phase spans and solver counters."
     Term.(
-      ret
-        (const run $ instance_arg $ objective_arg $ method_arg
-       $ virtual_clock_flag))
+      const run $ instance_arg $ objective_arg $ method_arg
+      $ virtual_clock_flag)
 
 let sweep_cmd =
   let count_arg =
-    let doc = "Number of scenarios to generate." in
-    Arg.(value & opt int 50 & info [ "n"; "count" ] ~doc)
-  in
-  let seed_arg =
-    let doc = "Random seed for the generators." in
-    Arg.(value & opt int 42 & info [ "s"; "seed" ] ~doc)
+    opt_arg Arg.int [ "n"; "count" ] 50 "Number of scenarios to generate."
   in
   let class_arg =
     let classes =
@@ -1090,27 +1031,24 @@ let sweep_cmd =
         ("two-tier", `Two_tier);
       ]
     in
-    let doc =
-      Printf.sprintf "Platform class to sample: %s."
-        (String.concat ", " (List.map fst classes))
-    in
-    Arg.(value & opt (enum classes) `Fully_hetero & info [ "class" ] ~doc)
+    opt_arg (Arg.enum classes) [ "class" ] `Fully_hetero
+      (Printf.sprintf "Platform class to sample: %s."
+         (String.concat ", " (List.map fst classes)))
   in
   let stages_arg =
-    let doc = "Pipeline length of each scenario." in
-    Arg.(value & opt int 8 & info [ "stages" ] ~doc)
+    opt_arg Arg.int [ "stages" ] 8 "Pipeline length of each scenario."
   in
   let procs_arg =
-    let doc = "Platform size of each scenario." in
-    Arg.(value & opt int 6 & info [ "procs" ] ~doc)
+    opt_arg Arg.int [ "procs" ] 6
+      "Platform size of each scenario."
   in
   let emit_arg =
-    let doc = "Also write the generated requests as JSONL to this file." in
-    Arg.(value & opt (some string) None & info [ "emit-requests" ] ~doc)
+    opt_arg Arg.(some string) [ "emit-requests" ] None
+      "Also write the generated requests as JSONL to this file."
   in
   let dry_run_arg =
-    let doc = "Generate (and $(b,--emit-requests)) only; skip solving." in
-    Arg.(value & flag & info [ "dry-run" ] ~doc)
+    flag_arg [ "dry-run" ]
+      "Generate (and $(b,--emit-requests)) only; skip solving."
   in
   let gen_platform rng class_ ~m =
     let module P = Relpipe_workload.Plat_gen in
@@ -1141,10 +1079,10 @@ let sweep_cmd =
   let run count seed class_ n m objective method_ output workers exact_workers
       cache_size stats emit dry_run =
     if count <= 0 then `Error (false, "--count must be positive")
-    else begin
+    else
       let rng = Relpipe_util.Rng.create seed in
       let requests =
-        Array.init count (fun k ->
+        List.init count (fun k ->
             let pipeline =
               Relpipe_workload.App_gen.random rng
                 {
@@ -1161,43 +1099,30 @@ let sweep_cmd =
               ~instance:(Service.Protocol.Inline (Textio.to_string inst))
               objective)
       in
-      let emitted =
+      let* () =
         match emit with
         | None -> Ok ()
         | Some path ->
-            write_file path (fun oc ->
-                Array.iter
-                  (fun r ->
-                    Out_channel.output_string oc
-                      (Service.Protocol.encode_request r);
-                    Out_channel.output_char oc '\n')
-                  requests)
+            write_file path
+              (output_lines
+                 (List.map Service.Protocol.encode_request requests))
             |> Result.map (fun () ->
                    Format.eprintf "wrote %d requests to %s@." count path)
       in
-      match emitted with
-      | Error msg -> `Error (false, msg)
-      | Ok () when dry_run -> `Ok ()
-      | Ok () -> (
-          let engine = make_engine ~workers ~exact_workers ~cache_size () in
-          let responses = Service.Engine.run_requests engine requests in
-          match
-            with_output output (fun oc ->
-                Array.iter
-                  (fun r ->
-                    Out_channel.output_string oc
-                      (Service.Protocol.encode_response r);
-                    Out_channel.output_char oc '\n')
-                  responses)
-          with
-          | Error msg -> `Error (false, msg)
-          | Ok () ->
-              finish_batch engine stats;
-              `Ok ())
-    end
-  in
-  let doc =
-    "Generate synthetic scenarios and push them through the batch engine."
+      if dry_run then `Ok ()
+      else
+        let engine = make_engine ~workers ~exact_workers ~cache_size () in
+        let responses =
+          Service.Engine.run_requests engine (Array.of_list requests)
+        in
+        let* () =
+          with_output output
+            (output_lines
+               (Array.to_list
+                  (Array.map Service.Protocol.encode_response responses)))
+        in
+        finish_batch engine stats;
+        `Ok ()
   in
   let man =
     [
@@ -1213,62 +1138,48 @@ let sweep_cmd =
          fixture.";
     ]
   in
-  Cmd.v (Cmd.info "sweep" ~doc ~man)
+  cmd "sweep" ~man
+    ~doc:"Generate synthetic scenarios and push them through the batch engine."
     Term.(
-      ret
-        (const run $ count_arg $ seed_arg $ class_arg $ stages_arg $ procs_arg
-       $ objective_arg $ method_arg $ output_arg $ workers_arg
-       $ exact_workers_arg $ cache_size_arg $ stats_flag $ emit_arg
-       $ dry_run_arg))
+      const run $ count_arg
+      $ seed_arg ~doc:"Random seed for the generators." 42
+      $ class_arg $ stages_arg $ procs_arg $ objective_arg $ method_arg
+      $ output_arg $ workers_arg $ exact_workers_arg $ cache_size_arg
+      $ stats_flag $ emit_arg $ dry_run_arg)
 
 let atlas_cmd =
   let module Stream_gen = Relpipe_workload.Stream_gen in
+  let default = Stream_gen.default_spec in
   let requests_arg =
-    let doc = "Stream length (number of requests to replay)." in
-    Arg.(value & opt int 10_000 & info [ "n"; "requests" ] ~doc)
-  in
-  let seed_arg =
-    let doc = "Master seed for the workload (pool, slots and gaps)." in
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc)
+    opt_arg Arg.int [ "n"; "requests" ] 10_000
+      "Stream length (number of requests to replay)."
   in
   let pool_arg =
-    let doc = "Distinct instances in the workload pool." in
-    Arg.(value & opt int Stream_gen.default_spec.Stream_gen.pool & info [ "pool" ] ~doc)
+    opt_arg Arg.int [ "pool" ] default.Stream_gen.pool
+      "Distinct instances in the workload pool."
   in
   let zipf_arg =
-    let doc = "Zipf skew exponent of slot popularity (0 = uniform)." in
-    Arg.(
-      value
-      & opt float Stream_gen.default_spec.Stream_gen.zipf_s
-      & info [ "zipf" ] ~doc)
+    opt_arg Arg.float [ "zipf" ] default.Stream_gen.zipf_s
+      "Zipf skew exponent of slot popularity (0 = uniform)."
   in
   let burst_arg =
-    let doc = "Mean arrival burst length (>= 1)." in
-    Arg.(
-      value
-      & opt float Stream_gen.default_spec.Stream_gen.burst
-      & info [ "burst" ] ~doc)
+    opt_arg Arg.float [ "burst" ] default.Stream_gen.burst
+      "Mean arrival burst length (>= 1)."
   in
   let chunk_arg =
-    let doc =
+    opt_arg Arg.int [ "chunk" ] 512
       "Requests per engine call — the only stream-length-proportional \
        buffer the driver holds."
-    in
-    Arg.(value & opt int 512 & info [ "chunk" ] ~doc)
   in
   let unix_arg =
-    let doc =
+    opt_arg ~docv:"PATH" Arg.(some string) [ "unix" ] None
       "Stream through a running $(b,relpipe serve) daemon on this Unix \
        socket instead of an in-process engine."
-    in
-    Arg.(value & opt (some string) None & info [ "unix" ] ~docv:"PATH" ~doc)
   in
   let gc_stats_flag =
-    let doc =
+    flag_arg [ "gc-stats" ]
       "Print allocation counters ($(b,Gc.quick_stat)) to stderr after the \
        run — the constant-memory guard in check.sh parses these."
-    in
-    Arg.(value & flag & info [ "gc-stats" ] ~doc)
   in
   let daemon_solve c reqs =
     (* Lockstep per request: the daemon answers every line in order, and
@@ -1286,26 +1197,11 @@ let atlas_cmd =
   in
   let run requests seed pool zipf burst chunk unix_path output workers
       exact_workers cache_size stats metrics virtual_clock gc_stats =
-    let spec =
-      {
-        Stream_gen.default_spec with
-        Stream_gen.pool;
-        zipf_s = zipf;
-        burst;
-      }
-    in
+    let spec = { default with Stream_gen.pool; zipf_s = zipf; burst } in
     match Stream_gen.validate spec with
     | Error msg -> `Error (true, "atlas: " ^ msg)
-    | Ok () -> (
-        match open_sink metrics with
-        | Error msg -> `Error (false, msg)
-        | Ok metrics_sink -> (
-            let obs =
-              match metrics_sink with
-              | None -> None
-              | Some _ -> Some (make_obs ~tracing:false ~virtual_clock)
-            in
-            let entries = Stream_gen.pool_entries ~seed spec in
+    | Ok () ->
+        with_obs_sinks ~virtual_clock ~metrics ~trace:None (fun obs write_obs ->
             let slots =
               Array.map
                 (fun (e : Stream_gen.entry) ->
@@ -1320,7 +1216,7 @@ let atlas_cmd =
                         sl_class = e.Stream_gen.plat_class;
                       }
                   | Error msg -> failwith ("atlas: " ^ msg))
-                entries
+                (Stream_gen.pool_entries ~seed spec)
             in
             let source =
               {
@@ -1336,68 +1232,56 @@ let atlas_cmd =
                           }));
               }
             in
-            let finish report =
-              (match obs with
-              | None -> ()
-              | Some o ->
-                  write_sink metrics_sink (Relpipe_obs.Obs.metrics_jsonl o));
-              if gc_stats then begin
-                let st = Gc.quick_stat () in
-                Printf.eprintf
-                  "gc: top_heap_words=%d heap_words=%d minor_collections=%d \
-                   major_collections=%d\n\
-                   %!"
-                  st.Gc.top_heap_words st.Gc.heap_words st.Gc.minor_collections
-                  st.Gc.major_collections
-              end;
-              with_output output (fun oc ->
-                  Out_channel.output_string oc
-                    (Service.Atlas.render report))
+            let* report =
+              try
+                match unix_path with
+                | None ->
+                    let engine =
+                      make_engine ?obs ~workers ~exact_workers ~cache_size ()
+                    in
+                    let report =
+                      Service.Atlas.run ?obs ~chunk
+                        ~solve:(Service.Engine.run_requests engine)
+                        source
+                    in
+                    finish_batch engine stats;
+                    Ok report
+                | Some path ->
+                    Result.map
+                      (fun c ->
+                        (match
+                           Serve.Client.call c
+                             (Service.Protocol.encode_control
+                                (Service.Protocol.hello ~client:"atlas" ()))
+                         with
+                        | Some _ -> ()
+                        | None -> failwith "atlas: no hello reply");
+                        let report =
+                          Service.Atlas.run ?obs ~chunk ~solve:(daemon_solve c)
+                            source
+                        in
+                        Serve.Client.finish_sending c;
+                        Serve.Client.close c;
+                        report)
+                      (connect (`Unix path))
+              with Failure msg -> Error msg
             in
-            match
-              match unix_path with
-              | None ->
-                  let engine =
-                    make_engine ?obs ~workers ~exact_workers ~cache_size ()
-                  in
-                  let report =
-                    Service.Atlas.run ?obs ~chunk
-                      ~solve:(Service.Engine.run_requests engine)
-                      source
-                  in
-                  finish_batch engine stats;
-                  finish report
-              | Some path -> (
-                  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-                  match Serve.Client.connect (`Unix path) with
-                  | exception Unix.Unix_error (e, _, _) ->
-                      Error ("connect: " ^ Unix.error_message e)
-                  | c ->
-                      let hello =
-                        Serve.Client.call c
-                          (Service.Protocol.encode_control
-                             (Service.Protocol.hello ~client:"atlas" ()))
-                      in
-                      (match hello with
-                      | Some _ -> ()
-                      | None -> failwith "atlas: no hello reply");
-                      let report =
-                        Service.Atlas.run ?obs ~chunk ~solve:(daemon_solve c)
-                          source
-                      in
-                      Serve.Client.finish_sending c;
-                      Serve.Client.close c;
-                      finish report)
-            with
-            | Ok () -> `Ok ()
-            | Error msg ->
-                close_sink metrics_sink;
-                `Error (false, msg)
-            | exception Failure msg ->
-                close_sink metrics_sink;
-                `Error (false, msg)))
+            let* () = write_obs () in
+            if gc_stats then begin
+              let st = Gc.quick_stat () in
+              Printf.eprintf
+                "gc: top_heap_words=%d heap_words=%d minor_collections=%d \
+                 major_collections=%d\n\
+                 %!"
+                st.Gc.top_heap_words st.Gc.heap_words st.Gc.minor_collections
+                st.Gc.major_collections
+            end;
+            let* () =
+              with_output output (fun oc ->
+                  Out_channel.output_string oc (Service.Atlas.render report))
+            in
+            `Ok ())
   in
-  let doc = "Stream a seeded million-request workload through the engine." in
   let man =
     [
       `S Manpage.s_description;
@@ -1418,23 +1302,20 @@ let atlas_cmd =
          and 8.";
     ]
   in
-  Cmd.v (Cmd.info "atlas" ~doc ~man)
+  cmd "atlas" ~man
+    ~doc:"Stream a seeded million-request workload through the engine."
     Term.(
-      ret
-        (const run $ requests_arg $ seed_arg $ pool_arg $ zipf_arg $ burst_arg
-       $ chunk_arg $ unix_arg $ output_arg $ workers_arg $ exact_workers_arg
-       $ cache_size_arg $ stats_flag $ metrics_arg $ virtual_clock_flag
-       $ gc_stats_flag))
+      const run $ requests_arg
+      $ seed_arg ~names:[ "seed" ]
+          ~doc:"Master seed for the workload (pool, slots and gaps)." 1
+      $ pool_arg $ zipf_arg $ burst_arg $ chunk_arg $ unix_arg $ output_arg
+      $ workers_arg $ exact_workers_arg $ cache_size_arg $ stats_flag
+      $ metrics_arg $ virtual_clock_flag $ gc_stats_flag)
 
 let fuzz_cmd =
   let module Fuzz = Relpipe_fuzz in
-  let seed_arg =
-    let doc = "Master seed; the whole campaign is a pure function of it." in
-    Arg.(value & opt int 42 & info [ "s"; "seed" ] ~doc)
-  in
   let count_arg =
-    let doc = "Number of random cases to generate." in
-    Arg.(value & opt int 100 & info [ "n"; "count" ] ~doc)
+    opt_arg Arg.int [ "n"; "count" ] 100 "Number of random cases to generate."
   in
   let oracle_arg =
     let doc =
@@ -1443,36 +1324,27 @@ let fuzz_cmd =
     Arg.(value & opt_all string [] & info [ "oracle" ] ~docv:"NAME" ~doc)
   in
   let all_flag =
-    let doc =
+    flag_arg [ "all-oracles" ]
       "Run every registered oracle (explicit form of the default when no \
        $(b,--oracle) is given; overrides $(b,--oracle))."
-    in
-    Arg.(value & flag & info [ "all-oracles" ] ~doc)
   in
   let list_flag =
-    let doc = "Print the oracle registry and exit." in
-    Arg.(value & flag & info [ "list-oracles" ] ~doc)
+    flag_arg [ "list-oracles" ]
+      "Print the oracle registry and exit."
   in
   let max_stages_arg =
-    let doc = "Largest pipeline length to generate." in
-    Arg.(
-      value
-      & opt int Fuzz.Gen.default_shape.Fuzz.Gen.max_stages
-      & info [ "max-stages" ] ~doc)
+    opt_arg Arg.int [ "max-stages" ]
+      Fuzz.Gen.default_shape.Fuzz.Gen.max_stages
+      "Largest pipeline length to generate."
   in
   let max_procs_arg =
-    let doc = "Largest platform size to generate." in
-    Arg.(
-      value
-      & opt int Fuzz.Gen.default_shape.Fuzz.Gen.max_procs
-      & info [ "max-procs" ] ~doc)
+    opt_arg Arg.int [ "max-procs" ] Fuzz.Gen.default_shape.Fuzz.Gen.max_procs
+      "Largest platform size to generate."
   in
   let out_dir_arg =
-    let doc =
+    opt_arg Arg.(some string) [ "out-dir" ] None
       "Write each minimized counterexample here as a replayable \
        $(b,.relpipe) file."
-    in
-    Arg.(value & opt (some string) None & info [ "out-dir" ] ~doc)
   in
   let replay_arg =
     let doc =
@@ -1482,12 +1354,10 @@ let fuzz_cmd =
     Arg.(value & opt_all file [] & info [ "replay" ] ~docv:"FILE" ~doc)
   in
   let perturb_arg =
-    let doc =
+    opt_arg Arg.float [ "perturb" ] 0.0
       "Harness self-test: inject a relative fault of this size into the \
        interval-DP latency, so the $(b,interval-dp) oracle must fail and \
        produce a minimized repro."
-    in
-    Arg.(value & opt float 0.0 & info [ "perturb" ] ~doc)
   in
   let run seed count oracle_names all_oracles list max_stages max_procs workers
       exact_workers out_dir replays perturb =
@@ -1509,11 +1379,7 @@ let fuzz_cmd =
               Printf.printf "%s: %s\n" path
                 (Fuzz.Oracle.outcome_to_string outcome))
         replays;
-      if !failed then begin
-        Stdlib.flush Stdlib.stdout;
-        Stdlib.exit 1
-      end;
-      `Ok ()
+      exit_with (if !failed then 1 else 0)
     end
     else begin
       let oracles =
@@ -1538,10 +1404,6 @@ let fuzz_cmd =
       | Ok _ when max_stages < 1 || max_procs < 1 ->
           `Error (false, "--max-stages and --max-procs must be positive")
       | Ok oracles ->
-          let workers =
-            Pool.effective_workers ~cap:(not exact_workers)
-              (if workers <= 0 then Pool.cpu_count () else workers)
-          in
           let report =
             Fuzz.Runner.run
               {
@@ -1550,23 +1412,15 @@ let fuzz_cmd =
                 oracles;
                 max_stages;
                 max_procs;
-                workers;
+                workers = resolve_workers ~exact_workers workers;
                 perturb;
                 out_dir;
                 obs = None;
               }
           in
           print_string (Fuzz.Runner.render report);
-          if report.Fuzz.Runner.r_failures <> [] then begin
-            Stdlib.flush Stdlib.stdout;
-            Stdlib.exit 1
-          end;
-          `Ok ()
+          exit_with (if report.Fuzz.Runner.r_failures <> [] then 1 else 0)
     end
-  in
-  let doc =
-    "Differential fuzzing: random instances, cross-checking oracles, \
-     delta-shrinking."
   in
   let man =
     [
@@ -1588,12 +1442,17 @@ let fuzz_cmd =
       `P "Exit status is 1 when any oracle failed, 0 otherwise.";
     ]
   in
-  Cmd.v (Cmd.info "fuzz" ~doc ~man)
+  cmd "fuzz" ~man
+    ~doc:
+      "Differential fuzzing: random instances, cross-checking oracles, \
+       delta-shrinking."
     Term.(
-      ret
-        (const run $ seed_arg $ count_arg $ oracle_arg $ all_flag $ list_flag
-       $ max_stages_arg $ max_procs_arg $ workers_arg $ exact_workers_arg
-       $ out_dir_arg $ replay_arg $ perturb_arg))
+      const run
+      $ seed_arg
+          ~doc:"Master seed; the whole campaign is a pure function of it." 42
+      $ count_arg $ oracle_arg $ all_flag $ list_flag $ max_stages_arg
+      $ max_procs_arg $ workers_arg $ exact_workers_arg $ out_dir_arg
+      $ replay_arg $ perturb_arg)
 
 let devlint_cmd =
   let module DL = Relpipe_devlint in
@@ -1605,27 +1464,17 @@ let devlint_cmd =
     in
     Arg.(value & pos_all string [] & info [] ~docv:"PATH" ~doc)
   in
-  let format_arg =
-    let doc = "Output format: text or json." in
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~doc)
-  in
   let list_rules_flag =
-    let doc = "Print the source-rule catalog and exit." in
-    Arg.(value & flag & info [ "list-rules" ] ~doc)
+    flag_arg [ "list-rules" ] "Print the source-rule catalog and exit."
   in
   let baseline_arg =
-    let doc =
+    opt_arg ~docv:"FILE" Arg.(some file) [ "baseline" ] None
       "Baseline file of vetted exceptions (default: devlint.baseline when \
        it exists)."
-    in
-    Arg.(value & opt (some file) None & info [ "baseline" ] ~docv:"FILE" ~doc)
   in
   let no_baseline_flag =
-    let doc = "Ignore any baseline file." in
-    Arg.(value & flag & info [ "no-baseline" ] ~doc)
+    flag_arg [ "no-baseline" ]
+      "Ignore any baseline file."
   in
   let family_arg =
     let doc =
@@ -1634,79 +1483,55 @@ let devlint_cmd =
     in
     Arg.(value & opt_all string [] & info [ "family" ] ~docv:"FAMILY" ~doc)
   in
-  let print_rules () =
-    let table =
-      Relpipe_util.Table.create
-        ~aligns:
-          [ Relpipe_util.Table.Left; Relpipe_util.Table.Left;
-            Relpipe_util.Table.Left; Relpipe_util.Table.Left ]
-        [ "id"; "severity"; "family"; "title" ]
-    in
-    List.iter
-      (fun (r : DL.Drule.t) ->
-        Relpipe_util.Table.add_row table
-          [
-            r.DL.Drule.id;
-            A.Severity.to_string r.DL.Drule.severity;
-            r.DL.Drule.family;
-            r.DL.Drule.title;
-          ])
-      (DL.Driver.rules ());
-    Relpipe_util.Table.print table
-  in
   let default_roots = [ "lib"; "bin"; "bench"; "test" ] in
   let run paths format list_rules baseline no_baseline families =
+    let known = List.map fst DL.Driver.passes in
+    let roots =
+      if paths <> [] then paths else List.filter Sys.file_exists default_roots
+    in
     if list_rules then begin
-      print_rules ();
+      print_rule_catalog ~group:"family"
+        (List.map
+           (fun (r : DL.Drule.t) ->
+             [
+               r.DL.Drule.id;
+               A.Severity.to_string r.DL.Drule.severity;
+               r.DL.Drule.family;
+               r.DL.Drule.title;
+             ])
+           (DL.Driver.rules ()));
       `Ok ()
     end
-    else begin
-      let known = List.map fst DL.Driver.passes in
+    else
       match List.find_opt (fun f -> not (List.mem f known)) families with
       | Some f ->
           `Error
             ( false,
               Printf.sprintf "unknown rule family %S (known: %s)" f
                 (String.concat ", " known) )
-      | None -> (
-          let roots =
-            if paths <> [] then paths
-            else List.filter Sys.file_exists default_roots
+      | None when roots = [] ->
+          `Error
+            ( false,
+              "none of lib/ bin/ bench/ test/ exist here; run from the \
+               repository root or pass paths" )
+      | None ->
+          let* baseline =
+            Result.map_error (( ^ ) "baseline: ")
+              (if no_baseline then Ok DL.Baseline.empty
+               else
+                 match baseline with
+                 | Some path -> DL.Baseline.load path
+                 | None ->
+                     if Sys.file_exists "devlint.baseline" then
+                       DL.Baseline.load "devlint.baseline"
+                     else Ok DL.Baseline.empty)
           in
-          if roots = [] then
-            `Error
-              ( false,
-                "none of lib/ bin/ bench/ test/ exist here; run from the \
-                 repository root or pass paths" )
-          else
-            let baseline_result =
-              if no_baseline then Ok DL.Baseline.empty
-              else
-                match baseline with
-                | Some path -> DL.Baseline.load path
-                | None ->
-                    if Sys.file_exists "devlint.baseline" then
-                      DL.Baseline.load "devlint.baseline"
-                    else Ok DL.Baseline.empty
-            in
-            match baseline_result with
-            | Error msg -> `Error (false, "baseline: " ^ msg)
-            | Ok baseline ->
-                let report =
-                  DL.Driver.run_paths ~baseline ~families roots
-                in
-                (match format with
-                | `Text -> print_string (DL.Driver.render_text report)
-                | `Json -> print_endline (DL.Driver.render_json report));
-                let code = DL.Driver.exit_code report in
-                if code = 0 then `Ok ()
-                else begin
-                  Format.print_flush ();
-                  Stdlib.exit code
-                end)
-    end
+          let report = DL.Driver.run_paths ~baseline ~families roots in
+          (match format with
+          | `Text -> print_string (DL.Driver.render_text report)
+          | `Json -> print_endline (DL.Driver.render_json report));
+          exit_with (DL.Driver.exit_code report)
   in
-  let doc = "Statically analyze the repository's own OCaml sources." in
   let man =
     [
       `S Manpage.s_description;
@@ -1729,27 +1554,15 @@ let devlint_cmd =
          otherwise (hints are informational).";
     ]
   in
-  Cmd.v (Cmd.info "devlint" ~doc ~man)
+  cmd "devlint" ~man
+    ~doc:"Statically analyze the repository's own OCaml sources."
     Term.(
-      ret
-        (const run $ paths_arg $ format_arg $ list_rules_flag $ baseline_arg
-       $ no_baseline_flag $ family_arg))
+      const run $ paths_arg $ format_arg $ list_rules_flag $ baseline_arg
+      $ no_baseline_flag $ family_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Serve daemon and its client                                         *)
 (* ------------------------------------------------------------------ *)
-
-let unix_sock_arg =
-  let doc = "Listen on (or connect to) this Unix-domain socket path." in
-  Arg.(value & opt (some string) None & info [ "unix" ] ~docv:"PATH" ~doc)
-
-let tcp_port_arg =
-  let doc = "Listen on (or connect to) this TCP port (0 picks a free port)." in
-  Arg.(value & opt (some int) None & info [ "tcp" ] ~docv:"PORT" ~doc)
-
-let host_arg =
-  let doc = "Host for $(b,--tcp)." in
-  Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~doc)
 
 let sockaddr_to_string = function
   | Unix.ADDR_UNIX p -> "unix:" ^ p
@@ -1758,123 +1571,99 @@ let sockaddr_to_string = function
 
 let serve_cmd =
   let queue_arg =
-    let doc =
+    opt_arg Arg.int [ "queue-size" ] 256
       "Global admission-queue bound; readers block (backpressure) when \
        the dispatcher is this many events behind."
-    in
-    Arg.(value & opt int 256 & info [ "queue-size" ] ~doc)
   in
   let window_arg =
-    let doc =
+    opt_arg Arg.int [ "session-window" ] 32
       "Per-session in-flight window: a session's reader blocks while \
        this many of its lines are unanswered or unwritten."
-    in
-    Arg.(value & opt int 32 & info [ "session-window" ] ~doc)
   in
   let shards_arg =
-    let doc =
+    opt_arg Arg.int [ "cache-shards" ] 4
       "Shards of the result cache (per-shard locks; concurrent sessions \
        contend less).  Replays must use the recording's shard count."
-    in
-    Arg.(value & opt int 4 & info [ "cache-shards" ] ~doc)
   in
   let record_arg =
-    let doc =
+    opt_arg ~docv:"FILE" Arg.(some string) [ "record" ] None
       "Append every dispatch batch to this $(b,.session) transcript, \
        replayable with $(b,--replay)."
-    in
-    Arg.(value & opt (some string) None & info [ "record" ] ~docv:"FILE" ~doc)
   in
   let replay_arg =
-    let doc =
+    opt_arg ~docv:"FILE" Arg.(some file) [ "replay" ] None
       "Replay a recorded $(b,.session) transcript instead of listening; \
        prints each reply as \"SESSION<TAB>LINE\" to $(b,-o).  With \
        $(b,--virtual-clock) the output is byte-identical for every \
        $(b,-w)."
-    in
-    Arg.(value & opt (some file) None & info [ "replay" ] ~docv:"FILE" ~doc)
   in
   let run unix_path tcp_port host queue window shards record replay output
       workers exact_workers cache_size stats virtual_clock =
+    let engine () =
+      let obs = make_obs ~tracing:false ~virtual_clock in
+      ( obs,
+        make_engine ~obs ~cache_shards:shards ~workers ~exact_workers
+          ~cache_size () )
+    in
+    let endpoints =
+      List.map
+        (function
+          | `Unix p -> Serve.Server.Unix_sock p
+          | `Tcp (h, port) -> Serve.Server.Tcp (h, port))
+        (endpoints unix_path tcp_port host)
+    in
     if shards < 1 then `Error (false, "--cache-shards must be positive")
     else
       match replay with
-      | Some path -> (
-          match Serve.Script.load path with
-          | Error msg -> `Error (false, msg)
-          | Ok script -> (
-              let obs = make_obs ~tracing:false ~virtual_clock in
-              let engine =
-                make_engine ~obs ~cache_shards:shards ~workers ~exact_workers
-                  ~cache_size ()
-              in
-              let replies = Serve.Replay.run ~obs ~engine script in
-              match
-                with_output output (fun oc ->
-                    Out_channel.output_string oc (Serve.Replay.render replies))
-              with
-              | Error msg -> `Error (false, msg)
-              | Ok () ->
-                  finish_batch engine stats;
-                  `Ok ()))
-      | None -> (
-          let endpoints =
-            (match unix_path with
-            | Some p -> [ Serve.Server.Unix_sock p ]
-            | None -> [])
-            @
-            match tcp_port with
-            | Some port -> [ Serve.Server.Tcp (host, port) ]
-            | None -> []
+      | Some path ->
+          let* script = Serve.Script.load path in
+          let obs, engine = engine () in
+          let replies = Serve.Replay.run ~obs ~engine script in
+          let* () =
+            with_output output (fun oc ->
+                Out_channel.output_string oc (Serve.Replay.render replies))
           in
-          match endpoints with
-          | [] ->
-              `Error
-                (true, "pass --unix PATH and/or --tcp PORT (or --replay FILE)")
-          | _ :: _ ->
-              let obs = make_obs ~tracing:false ~virtual_clock in
-              let engine =
-                make_engine ~obs ~cache_shards:shards ~workers ~exact_workers
-                  ~cache_size ()
-              in
-              let config =
-                {
-                  Serve.Server.endpoints;
-                  queue_capacity = queue;
-                  session_window = window;
-                  max_line = Serve.Frame.default_max_line;
-                  record;
-                }
-              in
-              (* A Signal_handle callback only runs at an OCaml
-                 safepoint, and an idle daemon has every thread parked
-                 in C waits — the handler could be delayed forever.
-                 Block the signals in every thread (the mask is
-                 inherited) and receive them synchronously on a
-                 dedicated thread instead. *)
-              ignore
-                (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigterm; Sys.sigint ]);
-              let (_ : Thread.t) =
-                Thread.create
-                  (fun () ->
-                    ignore (Thread.wait_signal [ Sys.sigterm; Sys.sigint ]);
-                    Serve.Server.signal_drain ())
-                  ()
-              in
-              let on_ready addrs =
-                List.iter
-                  (fun a ->
-                    Format.eprintf "listening on %s@." (sockaddr_to_string a))
-                  addrs
-              in
-              let report = Serve.Server.run ~obs ~engine ~config ~on_ready () in
-              Format.eprintf "drained: %d sessions, %d ticks, %d replies@."
-                report.Serve.Server.accepted report.Serve.Server.ticks
-                report.Serve.Server.answered;
-              finish_batch engine stats;
-              `Ok ())
+          finish_batch engine stats;
+          `Ok ()
+      | None when endpoints = [] ->
+          `Error (true, "pass --unix PATH and/or --tcp PORT (or --replay FILE)")
+      | None ->
+          let obs, engine = engine () in
+          let config =
+            {
+              Serve.Server.endpoints;
+              queue_capacity = queue;
+              session_window = window;
+              max_line = Serve.Frame.default_max_line;
+              record;
+            }
+          in
+          (* A Signal_handle callback only runs at an OCaml safepoint, and
+             an idle daemon has every thread parked in C waits — the
+             handler could be delayed forever.  Block the signals in every
+             thread (the mask is inherited) and receive them synchronously
+             on a dedicated thread instead. *)
+          ignore (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigterm; Sys.sigint ]);
+          let (_ : Thread.t) =
+            Thread.create
+              (fun () ->
+                ignore (Thread.wait_signal [ Sys.sigterm; Sys.sigint ]);
+                Serve.Server.signal_drain ())
+              ()
+          in
+          let on_ready addrs =
+            List.iter
+              (fun a ->
+                Format.eprintf "listening on %s@." (sockaddr_to_string a))
+              addrs
+          in
+          let report = Serve.Server.run ~obs ~engine ~config ~on_ready () in
+          Format.eprintf "drained: %d sessions, %d ticks, %d replies@."
+            report.Serve.Server.accepted report.Serve.Server.ticks
+            report.Serve.Server.answered;
+          finish_batch engine stats;
+          `Ok ()
   in
-  let doc = "Serve the batch protocol to concurrent clients (daemon)." in
   let man =
     [
       `S Manpage.s_description;
@@ -1899,13 +1688,13 @@ let serve_cmd =
          CI gate diffs $(b,-w 1) against $(b,-w 8).";
     ]
   in
-  Cmd.v (Cmd.info "serve" ~doc ~man)
+  cmd "serve" ~man
+    ~doc:"Serve the batch protocol to concurrent clients (daemon)."
     Term.(
-      ret
-        (const run $ unix_sock_arg $ tcp_port_arg $ host_arg $ queue_arg
-       $ window_arg $ shards_arg $ record_arg $ replay_arg $ output_arg
-       $ workers_arg $ exact_workers_arg $ cache_size_arg $ stats_flag
-       $ virtual_clock_flag))
+      const run $ unix_sock_arg $ tcp_port_arg $ host_arg $ queue_arg
+      $ window_arg $ shards_arg $ record_arg $ replay_arg $ output_arg
+      $ workers_arg $ exact_workers_arg $ cache_size_arg $ stats_flag
+      $ virtual_clock_flag)
 
 let call_cmd =
   let input_arg =
@@ -1913,92 +1702,66 @@ let call_cmd =
     Arg.(value & pos 0 string "-" & info [] ~docv:"REQUESTS" ~doc)
   in
   let client_arg =
-    let doc = "Client name sent in the hello handshake." in
-    Arg.(value & opt string "relpipe-call" & info [ "client" ] ~doc)
+    opt_arg Arg.string [ "client" ] "relpipe-call"
+      "Client name sent in the hello handshake."
   in
   let no_hello_flag =
-    let doc = "Skip the handshake (to exercise the server's hello gate)." in
-    Arg.(value & flag & info [ "no-hello" ] ~doc)
+    flag_arg [ "no-hello" ]
+      "Skip the handshake (to exercise the server's hello gate)."
   in
   let op_arg =
-    let doc =
+    opt_arg ~docv:"OP"
+      Arg.(some (enum [ ("stats", `Stats); ("shutdown", `Shutdown) ]))
+      [ "op" ] None
       "Send a single control operation instead of reading requests: \
        $(b,stats) or $(b,shutdown)."
-    in
-    Arg.(
-      value
-      & opt (some (enum [ ("stats", `Stats); ("shutdown", `Shutdown) ])) None
-      & info [ "op" ] ~docv:"OP" ~doc)
   in
   let run unix_path tcp_port host input client no_hello op =
-    let endpoint =
-      match (unix_path, tcp_port) with
-      | Some p, _ -> Ok (`Unix p)
-      | None, Some port -> Ok (`Tcp (host, port))
-      | None, None -> Error "pass --unix PATH or --tcp PORT"
-    in
-    match endpoint with
-    | Error msg -> `Error (true, msg)
-    | Ok endpoint -> (
-        Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-        match
-          match input with
-          | _ when op <> None -> []
-          | "-" -> In_channel.input_lines stdin
-          | path -> In_channel.with_open_text path In_channel.input_lines
-        with
-        | exception Sys_error msg -> `Error (false, msg)
-        | request_lines -> (
-            match Serve.Client.connect endpoint with
-            | exception Unix.Unix_error (e, _, _) ->
-                `Error (false, "connect: " ^ Unix.error_message e)
-            | c ->
-                let lines =
-                  (if no_hello then []
-                   else
-                     [
-                       Service.Protocol.encode_control
-                         (Service.Protocol.hello ~client ());
-                     ])
-                  @ (match op with
-                    | Some `Stats ->
-                        [ Service.Protocol.encode_control Service.Protocol.Stats ]
-                    | Some `Shutdown ->
-                        [
-                          Service.Protocol.encode_control
-                            Service.Protocol.Shutdown;
-                        ]
-                    | None -> [])
-                  @ (if op = None then request_lines else [])
-                in
-                (* Send from a helper thread so deep pipelines cannot
-                   deadlock on two full socket buffers. *)
-                let sender =
-                  Thread.create
-                    (fun () ->
-                      (* A draining server cuts the receive side; stop
-                         sending but keep pumping the replies it still
-                         owes for everything it admitted. *)
-                      try
-                        List.iter (Serve.Client.send c) lines;
-                        Serve.Client.finish_sending c
-                      with Unix.Unix_error _ -> ())
-                    ()
-                in
-                let rec pump () =
-                  match Serve.Client.recv c with
-                  | None -> ()
-                  | Some line ->
-                      print_endline line;
-                      pump ()
-                in
-                pump ();
-                Thread.join sender;
-                Serve.Client.close c;
-                flush stdout;
-                `Ok ()))
+    match endpoints unix_path tcp_port host with
+    | [] -> `Error (true, "pass --unix PATH or --tcp PORT")
+    | endpoint :: _ ->
+        let* request_lines =
+          if Option.is_some op then Ok [] else read_lines input
+        in
+        let* c = connect endpoint in
+        let control =
+          (if no_hello then [] else [ Service.Protocol.hello ~client () ])
+          @
+          match op with
+          | Some `Stats -> [ Service.Protocol.Stats ]
+          | Some `Shutdown -> [ Service.Protocol.Shutdown ]
+          | None -> []
+        in
+        let lines =
+          List.map Service.Protocol.encode_control control @ request_lines
+        in
+        (* Send from a helper thread so deep pipelines cannot deadlock on
+           two full socket buffers. *)
+        let sender =
+          Thread.create
+            (fun () ->
+              (* A draining server cuts the receive side; stop sending
+                 but keep pumping the replies it still owes for
+                 everything it admitted. *)
+              try
+                List.iter (Serve.Client.send c) lines;
+                Serve.Client.finish_sending c
+              with Unix.Unix_error _ -> ())
+            ()
+        in
+        let rec pump () =
+          match Serve.Client.recv c with
+          | None -> ()
+          | Some line ->
+              print_endline line;
+              pump ()
+        in
+        pump ();
+        Thread.join sender;
+        Serve.Client.close c;
+        flush stdout;
+        `Ok ()
   in
-  let doc = "Send requests to a running $(b,relpipe serve) daemon." in
   let man =
     [
       `S Manpage.s_description;
@@ -2009,48 +1772,38 @@ let call_cmd =
          $(b,--op shutdown) send a single control message instead.";
     ]
   in
-  Cmd.v (Cmd.info "call" ~doc ~man)
+  cmd "call" ~man ~doc:"Send requests to a running $(b,relpipe serve) daemon."
     Term.(
-      ret
-        (const run $ unix_sock_arg $ tcp_port_arg $ host_arg $ input_arg
-       $ client_arg $ no_hello_flag $ op_arg))
+      const run $ unix_sock_arg $ tcp_port_arg $ host_arg $ input_arg
+      $ client_arg $ no_hello_flag $ op_arg)
 
 let churn_cmd =
   let module Churn = Relpipe_churn in
   let events_arg =
-    let doc = "Number of churn events to generate and replay." in
-    Arg.(value & opt int 20 & info [ "e"; "events" ] ~doc)
-  in
-  let seed_arg =
-    let doc = "Master seed for the scenario driver (one integer replays \
-               the whole trace)." in
-    Arg.(value & opt int 1 & info [ "s"; "seed" ] ~doc)
+    opt_arg Arg.int [ "e"; "events" ] 20
+      "Number of churn events to generate and replay."
   in
   let mission_arg =
-    let doc = "Mission duration feeding the lifetime model that picks \
-               death victims." in
-    Arg.(value & opt float 1000.0 & info [ "mission" ] ~doc)
+    opt_arg Arg.float [ "mission" ] 1000.0
+      "Mission duration feeding the lifetime model that picks death \
+       victims."
   in
   let cold_flag =
-    let doc =
+    flag_arg [ "cold" ]
       "Solve every step from scratch instead of warm-starting.  All \
        solution-derived output is byte-identical to the warm run \
        ($(b,tools/check.sh) diffs the two); only reuse/bound statistics \
        differ."
-    in
-    Arg.(value & flag & info [ "cold" ] ~doc)
   in
   let verify_flag =
-    let doc =
+    flag_arg [ "verify" ]
       "After the run, cold-solve every step's world (in parallel on \
        $(b,--workers) domains) and check the recorded answers \
        bit-for-bit; fail loudly on any mismatch."
-    in
-    Arg.(value & flag & info [ "verify" ] ~doc)
   in
   let churn_stats_flag =
-    let doc = "Append per-step reuse/bound/node/time-to-repair columns." in
-    Arg.(value & flag & info [ "stats" ] ~doc)
+    flag_arg [ "stats" ]
+      "Append per-step reuse/bound/node/time-to-repair columns."
   in
   let fmt_value = function
     | None -> "infeasible"
@@ -2058,15 +1811,13 @@ let churn_cmd =
   in
   let run path objective events seed mission cold verify stats workers
       exact_workers virtual_clock =
-    match load_instance path with
-    | Error msg -> `Error (false, msg)
-    | Ok inst when Platform.size inst.Instance.platform > Interval_exact.max_procs
-      ->
-        `Error
-          ( false,
-            Printf.sprintf "churn needs at most %d processors"
-              Interval_exact.max_procs )
-    | Ok inst -> (
+    let* inst = load_instance path in
+    if Platform.size inst.Instance.platform > Interval_exact.max_procs then
+      `Error
+        ( false,
+          Printf.sprintf "churn needs at most %d processors"
+            Interval_exact.max_procs )
+    else (
         match Churn.Driver.trace ~mission ~seed ~count:events
                 (Churn.World.of_instance inst)
         with
@@ -2137,12 +1888,7 @@ let churn_cmd =
                 | None -> print_string "final:   infeasible\n")
             | [] -> ());
             if verify then begin
-              let workers =
-                if workers <= 0 then Pool.cpu_count () else workers
-              in
-              let workers =
-                Pool.effective_workers ~cap:(not exact_workers) workers
-              in
+              let workers = resolve_workers ~exact_workers workers in
               if Churn.Engine.verify ~obs ~workers ~objective steps then begin
                 Printf.printf "verify:  warm == cold on %d steps\n"
                   (List.length steps);
@@ -2173,31 +1919,38 @@ let churn_cmd =
          time-to-repair through the (optionally virtual) clock.";
     ]
   in
-  Cmd.v (Cmd.info "churn" ~doc ~man)
+  cmd "churn" ~doc ~man
     Term.(
-      ret
-        (const run $ instance_arg $ objective_arg $ events_arg $ seed_arg
-       $ mission_arg $ cold_flag $ verify_flag $ churn_stats_flag
-       $ workers_arg $ exact_workers_arg $ virtual_clock_flag))
+      const run $ instance_arg $ objective_arg $ events_arg
+      $ seed_arg
+          ~doc:
+            "Master seed for the scenario driver (one integer replays the \
+             whole trace)."
+          1
+      $ mission_arg $ cold_flag $ verify_flag $ churn_stats_flag
+      $ workers_arg $ exact_workers_arg $ virtual_clock_flag)
 
 let demo_cmd =
   let out_arg =
-    let doc = "Where to write the sample instance." in
-    Arg.(value & opt string "fig5.relpipe" & info [ "o"; "output" ] ~doc)
+    opt_arg Arg.string [ "o"; "output" ] "fig5.relpipe"
+      "Where to write the sample instance."
   in
   let run path =
-    let inst = Relpipe_workload.Scenarios.fig5 () in
-    Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc
-          ("# The paper's Fig. 5 instance: one slow reliable processor and\n"
-         ^ "# ten fast unreliable ones.  Try:\n"
-         ^ "#   relpipe solve -i " ^ path ^ " --max-latency 22\n"
-          ^ Textio.to_string inst));
+    let* () =
+      write_file path (fun oc ->
+          Printf.fprintf oc
+            "# The paper's Fig. 5 instance: one slow reliable processor and\n\
+             # ten fast unreliable ones.  Try:\n\
+             #   relpipe solve -i %s --max-latency 22\n\
+             %s"
+            path
+            (Textio.to_string (Relpipe_workload.Scenarios.fig5 ())))
+    in
     Format.printf "wrote %s@." path;
     `Ok ()
   in
-  let doc = "Write a sample instance file (the paper's Fig. 5)." in
-  Cmd.v (Cmd.info "demo" ~doc) Term.(ret (const run $ out_arg))
+  cmd "demo" ~doc:"Write a sample instance file (the paper's Fig. 5)."
+    Term.(const run $ out_arg)
 
 let () =
   let doc =

@@ -25,29 +25,65 @@ let iter_mappings ?max_intervals ~n ~m f =
           (C.disjoint_assignments pool p))
     (C.compositions n)
 
+(* Saturating arithmetic on non-negative ints: the count only ever meets
+   a budget comparison, so [max_int] stands for "too many". *)
+let sat_add a b = if a > max_int - b then max_int else a + b
+
+let sat_mul a b =
+  if a = 0 || b = 0 then 0 else if a > max_int / b then max_int else a * b
+
+(* With p intervals there are C(n-1, p-1) compositions and p! S(m+1, p+1)
+   ordered tuples of pairwise-disjoint non-empty replica sets: the extra
+   element of S(m+1, .) carries the block of idle processors. *)
 let count_mappings ?max_intervals ~n ~m () =
-  let count = ref 0 in
-  iter_mappings ?max_intervals ~n ~m (fun _ -> incr count);
-  !count
+  if m > B.max_width then invalid_arg "Exact.iter_mappings: too many processors";
+  let cap = min (Option.value max_intervals ~default:(min n m)) (min n m) in
+  if cap < 1 then 0
+  else begin
+    (* stirling.(k) = S(m+1, k), built row by row from S(0, 0) = 1. *)
+    let stirling = Array.make (cap + 2) 0 in
+    stirling.(0) <- 1;
+    for _ = 1 to m + 1 do
+      for k = cap + 1 downto 1 do
+        stirling.(k) <- sat_add (sat_mul k stirling.(k)) stirling.(k - 1)
+      done;
+      stirling.(0) <- 0
+    done;
+    (* binomial.(k) = C(n-1, k), Pascal's rule row by row. *)
+    let binomial = Array.make cap 0 in
+    binomial.(0) <- 1;
+    for _ = 1 to n - 1 do
+      for k = cap - 1 downto 1 do
+        binomial.(k) <- sat_add binomial.(k) binomial.(k - 1)
+      done
+    done;
+    let total = ref 0 and factorial = ref 1 in
+    for p = 1 to cap do
+      factorial := sat_mul !factorial p;
+      total :=
+        sat_add !total
+          (sat_mul binomial.(p - 1) (sat_mul !factorial stirling.(p + 1)))
+    done;
+    !total
+  end
 
 let solve ?max_intervals ?(budget = 5_000_000) instance objective =
   let { Instance.pipeline; platform } = instance in
   let n = Pipeline.length pipeline and m = Platform.size platform in
+  let space = count_mappings ?max_intervals ~n ~m () in
+  if space > budget then
+    raise
+      (Too_large
+         (Printf.sprintf "Exact.solve: more than %d mappings (n=%d m=%d)" budget
+            n m));
   let best = ref None in
-  let seen = ref 0 in
   iter_mappings ?max_intervals ~n ~m (fun mapping ->
-      incr seen;
-      if !seen > budget then
-        raise
-          (Too_large
-             (Printf.sprintf "Exact.solve: more than %d mappings (n=%d m=%d)"
-                budget n m));
       let s = Solution.of_mapping instance mapping in
       if Instance.feasible objective s.Solution.evaluation then
         best := Solution.best objective !best (Some s));
   let obs = Obs.ambient () in
   Obs.incr obs "core.exact.solves";
-  Obs.add obs "core.exact.mappings" !seen;
+  Obs.add obs "core.exact.mappings" space;
   !best
 
 let solve_single_interval instance objective =

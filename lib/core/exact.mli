@@ -23,7 +23,11 @@ val iter_mappings :
     @raise Invalid_argument when [m] exceeds {!Relpipe_util.Bitset.max_width}. *)
 
 val count_mappings : ?max_intervals:int -> n:int -> m:int -> unit -> int
-(** Size of the space {!iter_mappings} walks. *)
+(** Size of the space {!iter_mappings} walks, in closed form:
+    [sum over p <= min(max_intervals, n, m) of C(n-1, p-1) * p! * S(m+1, p+1)]
+    ([S] the Stirling numbers of the second kind), saturating at
+    [max_int]; costs [O((n + m) * min(n, m))] however large the space.
+    @raise Invalid_argument when [m] exceeds {!Relpipe_util.Bitset.max_width}. *)
 
 val solve :
   ?max_intervals:int ->
@@ -32,7 +36,8 @@ val solve :
   Instance.objective ->
   Solution.t option
 (** Optimal interval mapping for the objective by full enumeration.
-    [budget] caps the number of evaluated mappings (default [5_000_000]).
+    [budget] caps the size of the space (default [5_000_000]); it is
+    checked with {!count_mappings} before anything is enumerated.
     @raise Too_large when the budget is exceeded. *)
 
 val solve_single_interval :

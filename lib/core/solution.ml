@@ -12,13 +12,6 @@ let best ?eps objective a b =
       if Instance.better ?eps objective sb.evaluation sa.evaluation then Some sb
       else Some sa
 
-let pick_feasible ?eps objective candidates =
-  List.fold_left
-    (fun acc s ->
-      if Instance.feasible ?eps objective s.evaluation then best ?eps objective acc (Some s)
-      else acc)
-    None candidates
-
 let pp ppf s =
   Format.fprintf ppf "@[<v>%a@,%a@]" Mapping.pp s.mapping Instance.pp_evaluation
     s.evaluation

@@ -12,8 +12,4 @@ val best :
 (** Keep the feasible solution with the better objective value; feasibility
     of the inputs is not re-checked (callers filter first). *)
 
-val pick_feasible :
-  ?eps:float -> Instance.objective -> t list -> t option
-(** Best feasible solution of a candidate list, or [None]. *)
-
 val pp : Format.formatter -> t -> unit

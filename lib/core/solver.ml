@@ -50,8 +50,8 @@ let polynomial instance objective =
 let small_enough ~budget instance =
   let n = Pipeline.length instance.Instance.pipeline in
   let m = Platform.size instance.Instance.platform in
-  (* n, m <= 6 keeps the enumeration in the tens of thousands; the exact
-     count confirms it is within budget. *)
+  (* The shape rule n, m <= 6 keeps the enumeration in the tens of
+     thousands; the closed-form count confirms it is within budget. *)
   n <= 6 && m <= 6 && Exact.count_mappings ~n ~m () <= budget
 
 let auto ~exact_budget instance objective =

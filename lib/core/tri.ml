@@ -21,12 +21,10 @@ let feasible ?eps c e =
 let exact_min_failure ?(budget = 5_000_000) instance constraints =
   let { Instance.pipeline; platform } = instance in
   let n = Pipeline.length pipeline and m = Platform.size platform in
+  if Exact.count_mappings ~n ~m () > budget then
+    raise (Exact.Too_large "Tri.exact_min_failure: over budget");
   let best = ref None in
-  let seen = ref 0 in
   Exact.iter_mappings ~n ~m (fun mapping ->
-      incr seen;
-      if !seen > budget then
-        raise (Exact.Too_large "Tri.exact_min_failure: over budget");
       let e = evaluate instance mapping in
       if feasible constraints e then begin
         match !best with

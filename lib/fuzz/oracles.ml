@@ -108,8 +108,8 @@ let pareto_front evals =
 let check_heuristics _ctx rng (case : Gen.case) =
   let inst = case.Gen.instance and obj = case.Gen.objective in
   let n, m = shape case in
-  (* count_mappings counts by enumeration, so bound the shape before
-     asking for the count (same pre-guard as Solver.small_enough). *)
+  (* The oracle walks and stores the whole space, so bound the shape and
+     then its size (same shape rule as Solver.small_enough). *)
   if n > 6 || m > 6 then skipf "size guard: n=%d m=%d (needs n <= 6, m <= 6)" n m;
   let space = Core.Exact.count_mappings ~n ~m () in
   if space > 5_000 then skipf "mapping space %d > 5000" space;

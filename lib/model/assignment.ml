@@ -18,8 +18,6 @@ let proc t k =
     invalid_arg "Assignment.proc: stage out of range";
   t.(k - 1)
 
-let to_array = Array.copy
-
 let is_interval_based t =
   (* A processor may only reappear immediately: once we leave it, it is
      retired. *)

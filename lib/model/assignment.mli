@@ -22,9 +22,6 @@ val length : t -> int
 val proc : t -> int -> int
 (** [proc t k] is the processor of stage [k] (1-indexed). *)
 
-val to_array : t -> int array
-(** Fresh copy of the underlying assignment. *)
-
 val is_interval_based : t -> bool
 (** True when every processor's stages are consecutive — i.e. the
     assignment is also a valid (unreplicated) interval mapping. *)

@@ -20,9 +20,3 @@ let log_survival platform mapping =
 let success platform mapping = Float.exp (log_survival platform mapping)
 
 let of_mapping platform mapping = -.Float.expm1 (log_survival platform mapping)
-
-let of_interval_failures pis =
-  let log_surv =
-    Array.fold_left (fun acc pi -> acc +. Float.log1p (-.pi)) 0.0 pis
-  in
-  -.Float.expm1 log_surv

@@ -22,6 +22,3 @@ val log_survival : Platform.t -> Mapping.t -> float
 (** [log (1 - FP) = sum_j log (1 - prod fp_u)]; [neg_infinity] when some
     interval fails almost surely.  Monotone in the same direction as
     reliability, and the numerically robust quantity to compare. *)
-
-val of_interval_failures : float array -> float
-(** Combine per-interval failure probabilities into a global FP. *)

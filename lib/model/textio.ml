@@ -251,11 +251,6 @@ let parse text =
       | Error e -> Error (format_error e)
       | Ok instance -> Ok instance)
 
-let parse_file path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text -> parse text
-  | exception Sys_error msg -> Error msg
-
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)

@@ -79,9 +79,6 @@ val parse : string -> (Instance.t, string) result
 (** [parse text] is {!parse_raw} followed by {!build}; error strings carry
     the source position when one is known. *)
 
-val parse_file : string -> (Instance.t, string) result
-(** Read and {!parse} a file; IO failures are reported as [Error]. *)
-
 val to_string : Instance.t -> string
 (** Canonical rendering; [parse (to_string i)] round-trips the instance up
     to float formatting. *)

@@ -127,7 +127,9 @@ let test name f = Alcotest.test_case name `Quick f
 let relpipe_exe = Filename.concat ".." (Filename.concat "bin" "relpipe_cli.exe")
 let bench_exe = Filename.concat ".." (Filename.concat "bench" "main.exe")
 
-(* Run [exe args] with stdin closed: (exit code, stdout, stderr). *)
+(* Run [exe args] with stdin closed: (exit code, stdout, stderr).  Exit
+   125 is cmdliner's status for an uncaught exception, never an intended
+   outcome, so it fails the calling test outright. *)
 let run_exe exe args =
   let out = Filename.temp_file "relpipe-test" ".out" in
   let err = Filename.temp_file "relpipe-test" ".err" in
@@ -142,6 +144,10 @@ let run_exe exe args =
     Sys.remove path;
     s
   in
-  (code, slurp out, slurp err)
+  let out = slurp out and err = slurp err in
+  if code = 125 then
+    Alcotest.failf "%s %s: uncaught exception (exit 125)\n%s" exe
+      (String.concat " " args) err;
+  (code, out, err)
 
 let run_cli args = run_exe relpipe_exe args

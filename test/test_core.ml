@@ -466,6 +466,50 @@ let exact_count_formula () =
   (* Single stage: 2^m - 1 replication sets. *)
   Alcotest.(check int) "n1 m4" 15 (Exact.count_mappings ~n:1 ~m:4 ())
 
+let exact_count_closed_form () =
+  (* One walk per shape, histogrammed by interval count: the prefix sums
+     are the enumerated sizes for every max_intervals. *)
+  for n = 1 to 7 do
+    for m = 1 to 6 do
+      let by_p = Array.make (n + 1) 0 in
+      Exact.iter_mappings ~n ~m (fun mapping ->
+          let p = Mapping.num_intervals mapping in
+          by_p.(p) <- by_p.(p) + 1);
+      let walked = ref 0 in
+      for cap = 0 to n + 1 do
+        if cap >= 1 && cap <= n then walked := !walked + by_p.(cap);
+        Alcotest.(check int)
+          (Printf.sprintf "n=%d m=%d max_intervals=%d" n m cap)
+          !walked
+          (Exact.count_mappings ~max_intervals:cap ~n ~m ())
+      done;
+      Alcotest.(check int)
+        (Printf.sprintf "n=%d m=%d default" n m)
+        !walked
+        (Exact.count_mappings ~n ~m ())
+    done
+  done;
+  Alcotest.(check int) "n6 m6" 70993 (Exact.count_mappings ~n:6 ~m:6 ());
+  Alcotest.(check int) "n8 m6" 269297 (Exact.count_mappings ~n:8 ~m:6 ());
+  Alcotest.(check int) "saturates" max_int
+    (Exact.count_mappings ~n:200 ~m:60 ())
+
+let exact_rejects_before_enumerating () =
+  (* n=8 m=6 has 269297 mappings.  Walking the first 100000 of them
+     allocates tens of words each; the up-front count allocates a few
+     arrays, so staying under 10^5 words proves nothing was walked. *)
+  let inst = Helpers.random_fully_hetero (Rng.create 3) ~n:8 ~m:6 in
+  let words = Gc.minor_words () in
+  Alcotest.(check bool) "raises Too_large" true
+    (try
+       ignore
+         (Exact.solve ~budget:100_000 inst
+            (Instance.Min_latency { max_failure = 1.0 }));
+       false
+     with Exact.Too_large _ -> true);
+  Alcotest.(check bool) "without walking the space" true
+    (Gc.minor_words () -. words < 1e5)
+
 let exact_enumerates_valid =
   Helpers.seed_property ~count:20 "enumerated mappings validate" (fun seed ->
       let n = 1 + (seed mod 3) and m = 2 + (seed mod 3) in
@@ -675,6 +719,9 @@ let () =
       ( "exact",
         [
           test "count formula" exact_count_formula;
+          test "count closed form matches enumeration" exact_count_closed_form;
+          test "over budget rejected before enumerating"
+            exact_rejects_before_enumerating;
           exact_enumerates_valid;
           test "budget guard" exact_budget_guard;
         ] );

@@ -203,67 +203,6 @@ let contiguous_rejects_hetero_links () =
        false
      with Invalid_argument _ -> true)
 
-(* ------------------------------------------------------------------ *)
-(* Dominance                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let dominance_order_sane () =
-  let platform =
-    Platform.uniform_links
-      ~speeds:[| 4.0; 2.0; 4.0; 1.0 |]
-      ~failures:[| 0.1; 0.1; 0.3; 0.05 |]
-      ~bandwidth:1.0
-  in
-  Alcotest.(check bool) "P0 dominates P2 (same speed, more reliable)" true
-    (Dominance.dominates platform 0 2);
-  Alcotest.(check bool) "P0 dominates P1 (faster, same reliability)" true
-    (Dominance.dominates platform 0 1);
-  Alcotest.(check bool) "P3 not dominated by P0 (more reliable)" false
-    (Dominance.dominates platform 0 3);
-  Alcotest.(check bool) "irreflexive" false (Dominance.dominates platform 1 1);
-  (* Pareto staircase: P0 (fast, reliable) and P3 (slow, most reliable). *)
-  Alcotest.(check (list int)) "undominated" [ 0; 3 ] (Dominance.undominated platform)
-
-let dominance_antisymmetric =
-  Helpers.seed_property ~count:50 "dominance is antisymmetric" (fun seed ->
-      let rng = Rng.create seed in
-      let inst = Helpers.random_comm_homog rng ~n:2 ~m:5 in
-      let platform = inst.Instance.platform in
-      List.for_all
-        (fun u ->
-          List.for_all
-            (fun v ->
-              u = v
-              || not (Dominance.dominates platform u v && Dominance.dominates platform v u))
-            (Platform.procs platform))
-        (Platform.procs platform))
-
-let normalize_never_hurts =
-  Helpers.seed_property ~count:60 "normalization improves both criteria"
-    (fun seed ->
-      let rng = Rng.create seed in
-      let n = 1 + (seed mod 4) and m = 2 + (seed mod 5) in
-      let inst = Helpers.random_comm_homog rng ~n ~m in
-      let mapping = Helpers.random_mapping rng ~n ~m in
-      let before = Instance.evaluate inst mapping in
-      let after = Instance.evaluate inst (Dominance.normalize inst mapping) in
-      F.leq ~eps:1e-9 after.Instance.latency before.Instance.latency
-      && F.leq ~eps:1e-9 after.Instance.failure before.Instance.failure)
-
-let normalize_valid_mapping =
-  Helpers.seed_property ~count:60 "normalization yields a valid mapping"
-    (fun seed ->
-      let rng = Rng.create seed in
-      let n = 1 + (seed mod 4) and m = 2 + (seed mod 5) in
-      let inst = Helpers.random_comm_homog rng ~n ~m in
-      let mapping = Helpers.random_mapping rng ~n ~m in
-      let normalized = Dominance.normalize inst mapping in
-      match
-        Mapping.validate ~n ~m (Mapping.intervals normalized)
-      with
-      | Ok _ -> true
-      | Error _ -> false)
-
 let () =
   Alcotest.run "heuristics"
     ([
@@ -288,12 +227,5 @@ let () =
            contiguous_never_beats_exact;
            contiguous_matches_alg3_on_fail_homog;
            test "rejects hetero links" contiguous_rejects_hetero_links;
-         ] );
-       ( "dominance",
-         [
-           test "order sane" dominance_order_sane;
-           dominance_antisymmetric;
-           normalize_never_hurts;
-           normalize_valid_mapping;
          ] );
      ])

@@ -462,47 +462,6 @@ let multiport_dissolves_fig5 () =
        inst.Instance.platform everything)
 
 (* ------------------------------------------------------------------ *)
-(* Bounds                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let bounds_hold_for_every_mapping =
-  Helpers.seed_property ~count:150 "analytic bounds hold for random mappings"
-    (fun seed ->
-      let rng = Rng.create seed in
-      let n = 1 + (seed mod 5) and m = 2 + (seed mod 5) in
-      let inst = Helpers.random_fully_hetero rng ~n ~m in
-      let mapping = Helpers.random_mapping rng ~n ~m in
-      let e = Instance.evaluate inst mapping in
-      F.leq ~eps:1e-9 (Bounds.latency_lower_bound inst) e.Instance.latency
-      && F.leq ~eps:1e-9 (Bounds.failure_lower_bound inst) e.Instance.failure
-      && F.leq ~eps:1e-9
-           (Bounds.period_lower_bound inst)
-           (Period.of_mapping inst.Instance.pipeline inst.Instance.platform
-              mapping)
-      && F.geq ~eps:1e-9 (Bounds.latency_gap inst mapping) 1.0)
-
-let bounds_failure_is_thm1 () =
-  let inst = Relpipe_workload.Scenarios.fig5 () in
-  (* The FP lower bound is exactly Theorem 1's optimum. *)
-  let all = Mapping.single_interval ~n:2 ~m:11 (List.init 11 Fun.id) in
-  Helpers.check_close "replicate-all FP"
-    (Failure.of_mapping inst.Instance.platform all)
-    (Bounds.failure_lower_bound inst)
-
-let bounds_tight_on_single_proc () =
-  (* One processor, one stage: the bound is attained exactly. *)
-  let inst =
-    Instance.make
-      (Pipeline.of_costs ~input:4.0 [ (6.0, 2.0) ])
-      (Platform.fully_homogeneous ~m:1 ~speed:2.0 ~failure:0.1 ~bandwidth:2.0)
-  in
-  let mapping = Mapping.single_interval ~n:1 ~m:1 [ 0 ] in
-  let e = Instance.evaluate inst mapping in
-  Helpers.check_close "latency bound tight" e.Instance.latency
-    (Bounds.latency_lower_bound inst);
-  Helpers.check_close "gap is 1" 1.0 (Bounds.latency_gap inst mapping)
-
-(* ------------------------------------------------------------------ *)
 (* Instance                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -655,12 +614,6 @@ let () =
           multiport_below_one_port;
           models_agree_without_replication;
           test "multiport dissolves fig5" multiport_dissolves_fig5;
-        ] );
-      ( "bounds",
-        [
-          bounds_hold_for_every_mapping;
-          test "failure bound is Thm 1" bounds_failure_is_thm1;
-          test "tight on single proc" bounds_tight_on_single_proc;
         ] );
       ( "instance",
         [ test "feasibility" instance_feasibility; test "dominance" instance_dominates ] );

@@ -593,6 +593,41 @@ let test_sweep_emit_unwritable_path () =
   check_bool "not an internal error" true (code <> 125);
   check_bool "names the path" true (contains path err)
 
+(* The following used to escape as an uncaught exception (exit 125):
+   each must now fail with a typed error whose message names the cause. *)
+let check_typed_error ~cause args =
+  let code, _, err = run_cli args in
+  check_bool "exits non-zero" true (code <> 0);
+  check_bool "not an internal error" true (code <> 125);
+  check_bool (Printf.sprintf "stderr names %S" cause) true (contains cause err)
+
+let campus = "../examples/instances/campus-grid.relpipe"
+
+let test_pareto_not_applicable () =
+  check_typed_error ~cause:"no polynomial-optimal algorithm"
+    [ "pareto"; "-i"; campus; "-m"; "polynomial" ]
+
+let test_demo_unwritable_path () =
+  check_typed_error ~cause:"cannot write /nonexistent-dir/x"
+    [ "demo"; "-o"; "/nonexistent-dir/x" ]
+
+let test_catalog_write_unwritable_path () =
+  check_typed_error ~cause:"cannot write /nonexistent-dir/x"
+    [ "catalog"; "--write"; "lab-cluster"; "-o"; "/nonexistent-dir/x" ]
+
+let test_lint_directory () =
+  check_typed_error ~cause:"fixtures: Is a directory" [ "lint"; "fixtures" ]
+
+let too_large = "Exact.solve: more than 5000000 mappings"
+
+let test_simulate_too_large () =
+  check_typed_error ~cause:too_large
+    [ "simulate"; "-i"; campus; "-L"; "100"; "-m"; "exact" ]
+
+let test_goodput_too_large () =
+  check_typed_error ~cause:too_large
+    [ "goodput"; "-i"; campus; "-L"; "100"; "-m"; "exact" ]
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -652,5 +687,13 @@ let () =
           test "cert on a directory" test_cert_directory;
           test "sweep --emit-requests unwritable path"
             test_sweep_emit_unwritable_path;
+          test "pareto -m polynomial on an intractable class"
+            test_pareto_not_applicable;
+          test "demo -o unwritable path" test_demo_unwritable_path;
+          test "catalog --write unwritable path"
+            test_catalog_write_unwritable_path;
+          test "lint on a directory" test_lint_directory;
+          test "simulate over the enumeration budget" test_simulate_too_large;
+          test "goodput over the enumeration budget" test_goodput_too_large;
         ] );
     ]

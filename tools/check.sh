@@ -1,5 +1,5 @@
 #!/bin/sh
-# Tier-1 gate: build, tests, grep-lint, and static analysis of every
+# Tier-1 gate: build, tests, source lint, and static analysis of every
 # shipped instance (examples/instances/*.relpipe plus the built-in
 # catalog presets and paper scenarios).  Lint warnings are tolerated
 # (exit 1); errors (exit 2) fail the gate.
@@ -12,9 +12,6 @@ dune build
 
 echo "== dune runtest =="
 dune runtest
-
-echo "== tools/forbid.sh =="
-tools/forbid.sh
 
 relpipe=_build/default/bin/relpipe_cli.exe
 
