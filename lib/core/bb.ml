@@ -98,9 +98,9 @@ type ctx = {
   mutable best : Solution.t option;
   mutable log : Record.node list;
   (* Node budget: -1 is unlimited, otherwise the search stops expanding
-     once the budget is spent (probe tasks only — a budgeted search is
-     still sound as a bound source because it publishes nothing but fully
-     evaluated feasible mappings). *)
+     once the budget is spent (probe tasks and {!solve_budgeted} — a
+     budgeted search is still sound as a bound source because it
+     publishes nothing but fully evaluated feasible mappings). *)
   mutable fuel : int;
   mutable nodes : int;
   mutable evaluated : int;
@@ -258,12 +258,15 @@ let record_node ctx ~closed ~pending status =
   let rpath = match pending with None -> closed | Some p -> p :: closed in
   ctx.log <- { Record.path = List.rev rpath; status } :: ctx.log
 
+(* A spent budget refused a node: abandon the search at once. *)
+exception Out_of_fuel
+
 let rec branch (ctx : ctx) ~next_stage ~used ~closed ~pending ~latency_closed
     ~log_survival =
   (* [closed]: reversed list of finalized intervals (term already added to
      latency_closed).  [pending]: the last chosen interval, whose outgoing
      term depends on the next decision. *)
-  if ctx.fuel = 0 then ()
+  if ctx.fuel = 0 then raise_notrace Out_of_fuel
   else begin
     if ctx.fuel > 0 then ctx.fuel <- ctx.fuel - 1;
     ctx.nodes <- ctx.nodes + 1;
@@ -426,20 +429,37 @@ let run_branch ctx =
   branch ctx ~next_stage:1 ~used:B.empty ~closed:[] ~pending:None
     ~latency_closed:0.0 ~log_survival:0.0
 
-let solve_with_stats ?prune_above instance objective =
+(* A counted search under [fuel]; [false] when the budget ran out first. *)
+let search ?prune_above ~fuel instance objective =
   let ctx = make_ctx ?prune_above ~publish:false ~record:false instance
       objective
   in
-  run_branch ctx;
+  ctx.fuel <- fuel;
+  let complete = try run_branch ctx; true with Out_of_fuel -> false in
   let obs = Obs.ambient () in
   Obs.incr obs "core.bb.solves";
   Obs.add obs "core.bb.nodes" ctx.nodes;
   Obs.add obs "core.bb.evaluated" ctx.evaluated;
   Obs.add obs "core.bb.pruned" ctx.pruned;
+  if not complete then Obs.incr obs "core.bb.exhausted";
+  (ctx, complete)
+
+let solve_with_stats ?prune_above instance objective =
+  let ctx, _ = search ?prune_above ~fuel:(-1) instance objective in
   (ctx.best, { nodes = ctx.nodes; evaluated = ctx.evaluated; pruned = ctx.pruned })
 
 let solve ?prune_above instance objective =
   fst (solve_with_stats ?prune_above instance objective)
+
+type budgeted = Complete of Solution.t option | Exhausted of Solution.t option
+
+let solve_budgeted ~budget instance objective =
+  if budget < 0 then invalid_arg "Bb.solve_budgeted: negative budget";
+  let ctx, complete = search ~fuel:budget instance objective in
+  (* Re-priced by the flat evaluation enumeration and the heuristics use. *)
+  let reprice s = Solution.of_mapping instance s.Solution.mapping in
+  let best = Option.map reprice ctx.best in
+  if complete then Complete best else Exhausted best
 
 (* ------------------------------------------------------------------ *)
 (* Recorded solve (certificate emission)                               *)
@@ -557,9 +577,10 @@ let solve_par_with_stats ?(prune_above = Float.infinity) ~workers instance
       ctx.best <- None;
       ctx.fuel <- probe_task_fuel;
       let n0 = ctx.nodes in
-      branch ctx ~next_stage:(task.t_e + 1) ~used:task.t_mask ~closed:[]
-        ~pending:(Some (1, task.t_e, task.t_mask)) ~latency_closed:task.t_lc
-        ~log_survival:task.t_ls;
+      (try branch ctx ~next_stage:(task.t_e + 1) ~used:task.t_mask ~closed:[]
+         ~pending:(Some (1, task.t_e, task.t_mask)) ~latency_closed:task.t_lc
+         ~log_survival:task.t_ls
+       with Out_of_fuel -> ());
       ctx.nodes - n0
     end
   in

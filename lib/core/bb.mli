@@ -80,6 +80,16 @@ val solve_with_stats :
   Instance.objective ->
   Solution.t option * stats
 
+type budgeted =
+  | Complete of Solution.t option  (** {!solve}'s answer *)
+  | Exhausted of Solution.t option  (** the incumbent: no optimality proof *)
+
+val solve_budgeted : budget:int -> Instance.t -> Instance.objective -> budgeted
+(** {!solve} expanding at most [budget] nodes, its answer re-priced with
+    {!Solution.of_mapping} (the bits {!Exact.solve} reports).  Counts
+    [core.bb.exhausted] when the budget runs out.
+    @raise Invalid_argument when [budget] is negative. *)
+
 (** {1 Parallel solve} *)
 
 type par_stats = {

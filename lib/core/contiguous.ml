@@ -1,9 +1,7 @@
 open Relpipe_model
 
-let applicable instance = Classify.links_homogeneous instance.Instance.platform
-
 let solve ?(max_intervals = 3) instance objective =
-  if not (applicable instance) then
+  if not (Classify.links_homogeneous instance.Instance.platform) then
     invalid_arg "Contiguous.solve: links must be homogeneous";
   let { Instance.pipeline; platform } = instance in
   let n = Pipeline.length pipeline and m = Platform.size platform in

@@ -17,9 +17,6 @@
 
 open Relpipe_model
 
-val applicable : Instance.t -> bool
-(** Links homogeneous (any failure pattern). *)
-
 val solve :
   ?max_intervals:int ->
   Instance.t ->
@@ -27,5 +24,5 @@ val solve :
   Solution.t option
 (** Best mapping whose replication sets are speed-contiguous segments.
     [max_intervals] bounds the interval count (default 3 — segments
-    multiply fast beyond that).  @raise Invalid_argument when not
-    {!applicable}. *)
+    multiply fast beyond that).  @raise Invalid_argument when the links
+    are heterogeneous. *)

@@ -1,7 +1,6 @@
 open Relpipe_model
 module B = Relpipe_util.Bitset
 module C = Relpipe_util.Combin
-module Obs = Relpipe_obs.Obs
 
 exception Too_large of string
 
@@ -81,9 +80,6 @@ let solve ?max_intervals ?(budget = 5_000_000) instance objective =
       let s = Solution.of_mapping instance mapping in
       if Instance.feasible objective s.Solution.evaluation then
         best := Solution.best objective !best (Some s));
-  let obs = Obs.ambient () in
-  Obs.incr obs "core.exact.solves";
-  Obs.add obs "core.exact.mappings" space;
   !best
 
 let solve_single_interval instance objective =

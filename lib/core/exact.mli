@@ -4,10 +4,9 @@
     disjoint replication-set assignments), so they run in exponential time
     and exist to (i) certify the polynomial algorithms and heuristics on
     small instances, (ii) decide the NP-hard instances produced by the
-    reductions, and (iii) solve the cases whose complexity the paper leaves
-    open (Communication Homogeneous with heterogeneous failures).  Guard
-    rails: enumeration size is capped (configurable) and exceeding the cap
-    raises. *)
+    reductions, and (iii) cross-check {!Bb}, which [Solver] runs on the
+    NP-hard and open classes.  Guard rails: enumeration size is capped
+    (configurable) and exceeding the cap raises. *)
 
 open Relpipe_model
 

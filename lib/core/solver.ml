@@ -47,37 +47,36 @@ let polynomial instance objective =
       "Solver: no polynomial-optimal algorithm for this platform class \
        (NP-hard or open per the paper)"
 
-let small_enough ~budget instance =
-  let n = Pipeline.length instance.Instance.pipeline in
-  let m = Platform.size instance.Instance.platform in
-  (* The shape rule n, m <= 6 keeps the enumeration in the tens of
-     thousands; the closed-form count confirms it is within budget. *)
-  n <= 6 && m <= 6 && Exact.count_mappings ~n ~m () <= budget
+let default_budget = 1_000_000
 
 let auto ~exact_budget instance objective =
   if Fully_homog.applicable instance || Comm_homog.applicable instance then
     polynomial instance objective
-  else if small_enough ~budget:exact_budget instance then
-    Exact.solve ~budget:exact_budget instance objective
-  else begin
-    let portfolio = Heuristics.best_of instance objective in
-    (* On Communication Homogeneous platforms the speed-contiguous solver
-       is cheap and captures the structure of known optima (e.g. Fig. 5);
-       fold it into the portfolio. *)
-    if Contiguous.applicable instance then
-      Solution.best objective portfolio (Contiguous.solve instance objective)
-    else portfolio
-  end
+  else
+    match Bb.solve_budgeted ~budget:exact_budget instance objective with
+    | Bb.Complete s -> s
+    | Bb.Exhausted incumbent ->
+        Solution.best objective (Heuristics.best_of instance objective) incumbent
+
+let exact ~exact_budget instance objective =
+  match Bb.solve_budgeted ~budget:exact_budget instance objective with
+  | Bb.Complete s -> s
+  | Bb.Exhausted _ ->
+      let n = Pipeline.length instance.Instance.pipeline
+      and m = Platform.size instance.Instance.platform in
+      Printf.ksprintf (fun msg -> raise (Exact.Too_large msg))
+        "exact search: more than %d branch-and-bound nodes (n=%d m=%d)"
+        exact_budget n m
 
 let dispatch ~method_ ~exact_budget instance objective =
   match method_ with
   | Auto -> auto ~exact_budget instance objective
-  | Exact_enum -> Exact.solve instance objective
+  | Exact_enum -> exact ~exact_budget instance objective
   | Polynomial -> polynomial instance objective
   | Heuristic name -> Heuristics.run name instance objective
   | Portfolio -> Heuristics.best_of instance objective
 
-let run ?(method_ = Auto) ?(exact_budget = 200_000) instance objective =
+let run ?(method_ = Auto) ?(exact_budget = default_budget) instance objective =
   match check_instance instance with
   | Error _ as e -> e
   | Ok () -> (
@@ -105,9 +104,7 @@ let describe instance =
     if Fully_homog.applicable instance then "Algorithms 1/2 (polynomial, optimal)"
     else if Comm_homog.applicable instance then
       "Algorithms 3/4 (polynomial, optimal)"
-    else if small_enough ~budget:200_000 instance then
-      "exhaustive enumeration (instance is small)"
-    else "heuristic portfolio (NP-hard/open case)"
+    else "budgeted branch and bound, portfolio fallback (NP-hard/open case)"
   in
   Format.asprintf "%a, %a -> %s" Classify.pp_comm_class comm
     Classify.pp_failure_class fail method_name

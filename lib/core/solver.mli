@@ -8,8 +8,9 @@
     - Communication Homogeneous + Failure Homogeneous: Algorithms 3/4 —
       polynomial, optimal;
     - everything else (Comm. Homogeneous + Failure Heterogeneous — open;
-      Fully Heterogeneous — NP-hard): exhaustive search when the instance
-      is small enough, otherwise the heuristic portfolio.
+      Fully Heterogeneous — NP-hard): branch and bound ({!Bb}) under a
+      node budget; only when it runs out, the better of the search's
+      incumbent and the heuristic portfolio.
 
     Every entry point first runs the [Relpipe_analysis] instance pass at
     [Error] level; a malformed instance yields a typed {!error} (from
@@ -19,7 +20,7 @@ open Relpipe_model
 
 type method_ =
   | Auto  (** the dispatch described above *)
-  | Exact_enum  (** {!Exact.solve} regardless of size (may raise) *)
+  | Exact_enum  (** that branch and bound alone; [Too_large] past its budget *)
   | Polynomial  (** Algorithms 1-4; [Not_applicable] otherwise *)
   | Heuristic of Heuristics.name
   | Portfolio  (** {!Heuristics.best_of} *)
@@ -29,11 +30,14 @@ type error =
       (** the [Error]-level lint findings, worst first *)
   | Invalid_objective of string  (** e.g. a NaN threshold *)
   | Not_applicable of string  (** [Polynomial] on an intractable class *)
-  | Too_large of string  (** [Exact_enum] beyond its budget *)
+  | Too_large of string  (** [Exact_enum] ran out of its node budget *)
 
 val pp_error : Format.formatter -> error -> unit
 
 val error_to_string : error -> string
+
+val default_budget : int
+(** The branch-and-bound node budget when none is given: [1_000_000]. *)
 
 val check_instance : Instance.t -> (unit, error) result
 (** The guard by itself: [Error (Invalid_instance _)] when the instance
@@ -47,8 +51,8 @@ val run :
   (Solution.t option, error) result
 (** Solve with a typed outcome.  [Ok None] means no feasible mapping was
     found (a definitive answer for the optimal methods, best effort for
-    heuristics).  [exact_budget] bounds the mapping enumeration Auto may
-    attempt (default [200_000]). *)
+    heuristics).  [exact_budget] (default {!default_budget}) caps the
+    branch-and-bound nodes [Auto] and [Exact_enum] may expand. *)
 
 val solve :
   ?method_:method_ ->
@@ -58,7 +62,7 @@ val solve :
   Solution.t option
 (** Legacy exception-based wrapper over {!run}: raises [Invalid_argument]
     on invalid instances/objectives and inapplicable methods, and
-    {!Exact.Too_large} when the enumeration budget is exceeded. *)
+    {!Exact.Too_large} when [Exact_enum] runs out of its node budget. *)
 
 val describe : Instance.t -> string
 (** Human-readable platform classification and the method Auto would

@@ -109,7 +109,7 @@ let check_heuristics _ctx rng (case : Gen.case) =
   let inst = case.Gen.instance and obj = case.Gen.objective in
   let n, m = shape case in
   (* The oracle walks and stores the whole space, so bound the shape and
-     then its size (same shape rule as Solver.small_enough). *)
+     then its size. *)
   if n > 6 || m > 6 then skipf "size guard: n=%d m=%d (needs n <= 6, m <= 6)" n m;
   let space = Core.Exact.count_mappings ~n ~m () in
   if space > 5_000 then skipf "mapping space %d > 5000" space;
@@ -216,7 +216,8 @@ let check_canon _ctx rng (case : Gen.case) =
   let inst' = Instance.make inst.Instance.pipeline platform' in
   let engine = Service.Engine.create ~workers:1 ~cache_capacity:64 () in
   let key i =
-    (Service.Engine.normalize engine i obj).Service.Canon.key
+    (Service.Canon.normalize ~budget:Core.Solver.default_budget
+       ~method_:Core.Solver.Auto i obj).Service.Canon.key
   in
   if not (String.equal (key inst) (key inst')) then
     failf "renumbered instance canonicalizes to a different cache key";
@@ -508,9 +509,7 @@ let check_metrics_invariance _ctx _rng (case : Gen.case) =
     failf "recording sink changed the engine response:\n  plain: %s\n  obs:   %s"
       plain instrumented;
   (* The solver must be equally indifferent to an ambient context. *)
-  let run () =
-    Core.Solver.run ~method_:Core.Solver.Auto ~exact_budget:200_000 inst obj
-  in
+  let run () = Core.Solver.run inst obj in
   let direct = run () in
   let ambient = Relpipe_obs.Obs.with_ambient (Some obs) run in
   let bits x = Int64.bits_of_float x in

@@ -1,6 +1,6 @@
 open Relpipe_model
 
-let version = 1
+let version = 2
 
 let quantize x =
   if Float.is_finite x then float_of_string (Printf.sprintf "%.12g" x) else x

@@ -6,7 +6,7 @@
     - a schema version tag (bump {!version} whenever the serialization,
       the quantization or the symmetry rules change — stale keys must
       never alias fresh ones);
-    - the method and exact-enumeration budget;
+    - the method and branch-and-bound node budget;
     - the objective with its threshold {e quantized} to 12 significant
       digits ({!quantize}), so thresholds differing only by float noise
       below that precision collapse;
@@ -26,14 +26,14 @@
 open Relpipe_model
 
 val version : int
-(** Schema version baked into every key (currently [1]). *)
+(** Schema version baked into every key (currently [2]). *)
 
 val quantize : float -> float
 (** Round to 12 significant decimal digits (identity on non-finite
     values). *)
 
 type normalized = {
-  key : string;  (** ["v1:<hex digest>"] — the cache key *)
+  key : string;  (** ["v2:<hex digest>"] — the cache key *)
   perm : int array;
       (** canonical position -> original processor index; [perm.(p)] is
           the processor declared at index [perm.(p)] that canonicalizes

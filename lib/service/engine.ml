@@ -17,7 +17,6 @@ type entry = {
 
 type t = {
   eff_workers : int;
-  exact_budget : int;
   cache : entry Lru.Sharded.t;
   obs : Obs.t option;
   mutable n_requests : int;
@@ -29,7 +28,7 @@ type t = {
 }
 
 let create ?obs ?workers ?(cap_to_cpus = true) ?(cache_capacity = 1024)
-    ?(cache_shards = 1) ?(exact_budget = 200_000) () =
+    ?(cache_shards = 1) () =
   let requested = match workers with Some w -> w | None -> Pool.cpu_count () in
   let cache =
     match obs with
@@ -40,7 +39,6 @@ let create ?obs ?workers ?(cap_to_cpus = true) ?(cache_capacity = 1024)
   in
   {
     eff_workers = Pool.effective_workers ~cap:cap_to_cpus requested;
-    exact_budget;
     cache;
     obs;
     n_requests = 0;
@@ -62,7 +60,6 @@ type ready = {
   rq : Protocol.request;
   inst : Instance.t;
   norm : Canon.normalized;
-  budget : int;
 }
 
 type prepared = Bad of string option * string  (* id, message *) | Ready of ready
@@ -73,7 +70,7 @@ type plan =
   | From_job of ready * int  (* index into the job array *)
   | Shared_job of ready * int
 
-let prepare t req =
+let prepare req =
   match req with
   | Error msg -> Bad (None, msg)
   | Ok rq -> (
@@ -100,21 +97,19 @@ let prepare t req =
                   String.concat "; "
                     (List.map (fun d -> Diagnostic.to_string ?file d) ds) )
           | Ok inst ->
-              let budget =
-                match rq.Protocol.budget with
-                | Some b -> b
-                | None -> t.exact_budget
-              in
               let norm =
-                Canon.normalize ~budget ~method_:rq.Protocol.method_ inst
-                  rq.Protocol.objective
+                Canon.normalize
+                  ~budget:
+                    (Option.value rq.Protocol.budget
+                       ~default:Solver.default_budget)
+                  ~method_:rq.Protocol.method_ inst rq.Protocol.objective
               in
-              Ready { rq; inst; norm; budget }))
+              Ready { rq; inst; norm }))
 
 let solve_job (r : ready) =
   match
-    Solver.run ~method_:r.rq.Protocol.method_ ~exact_budget:r.budget r.inst
-      r.rq.Protocol.objective
+    Solver.run ~method_:r.rq.Protocol.method_
+      ?exact_budget:r.rq.Protocol.budget r.inst r.rq.Protocol.objective
   with
   | outcome -> outcome
   | exception e ->
@@ -160,7 +155,7 @@ let run_batch t reqs =
     Obs.span t.obs
       ~attrs:[ ("requests", string_of_int n_reqs) ]
       "engine.phase.prepare"
-      (fun () -> Array.map (prepare t) reqs)
+      (fun () -> Array.map prepare reqs)
   in
   (* Plan phase: sequential, in submission order, so cache decisions are
      independent of how the solve phase is scheduled. *)
@@ -292,13 +287,9 @@ let run_lines t lines =
   let batch = Array.of_list (List.map Protocol.decode_request nonblank) in
   Array.to_list (Array.map Protocol.encode_response (run_batch t batch))
 
-let normalize t ?(method_ = Solver.Auto) ?budget inst objective =
-  let budget = match budget with Some b -> b | None -> t.exact_budget in
-  Canon.normalize ~budget ~method_ inst objective
-
-let solve_instance t ?method_ ?budget inst objective =
+let solve_instance t ?method_ inst objective =
   let rq =
-    Protocol.request ?budget ?method_
+    Protocol.request ?method_
       ~instance:(Protocol.Inline (Textio.to_string inst))
       objective
   in

@@ -32,7 +32,6 @@ val create :
   ?cap_to_cpus:bool ->
   ?cache_capacity:int ->
   ?cache_shards:int ->
-  ?exact_budget:int ->
   unit ->
   t
 (** [workers] defaults to {!Relpipe_pool.Pool.cpu_count}[ ()] and is
@@ -42,9 +41,9 @@ val create :
     it into that many independently locked shards
     ({!Relpipe_util.Lru.Sharded}) so a serve daemon can share one engine
     across concurrent sessions — with one shard the hit/miss/eviction
-    sequence is exactly the historical single-cache behaviour;
-    [exact_budget] (default [200_000]) is used when a request carries
-    none.
+    sequence is exactly the historical single-cache behaviour.  A
+    request without a ["budget"] runs under
+    {!Relpipe_core.Solver.default_budget}.
 
     With [obs], the engine records phase spans
     ([engine.phase.prepare/plan/solve/emit]), one [engine.job] span per
@@ -71,22 +70,9 @@ val run_lines : t -> string list -> string list
 (** Decode JSONL request lines (blank lines are dropped), run the batch,
     encode JSONL response lines in request order. *)
 
-val normalize :
-  t ->
-  ?method_:Relpipe_core.Solver.method_ ->
-  ?budget:int ->
-  Instance.t ->
-  Instance.objective ->
-  Canon.normalized
-(** The canonical form this engine would compute for a request ([budget]
-    defaults to the engine's [exact_budget], [method_] to [Auto]) — the
-    hook the fuzzer's cache-invariance oracle uses to compare keys
-    without running a solve. *)
-
 val solve_instance :
   t ->
   ?method_:Relpipe_core.Solver.method_ ->
-  ?budget:int ->
   Instance.t ->
   Instance.objective ->
   Protocol.response

@@ -630,18 +630,88 @@ let pareto_thresholds_ordered () =
 (* Solver facade                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Instances Auto hands to branch and bound (no polynomial algorithm
+   applies), n, m <= 6, in three shapes: fully heterogeneous; uniform
+   speeds with two bandwidths, two failure values and two stage costs
+   (many mappings tie); and homogeneous links with heterogeneous
+   failures (the open case). *)
+let random_bb_instance rng =
+  let n = 1 + Rng.int rng 6 and m = 2 + Rng.int rng 5 in
+  let pick a b = if Rng.bool rng then a else b in
+  match Rng.int rng 3 with
+  | 0 -> Helpers.random_fully_hetero rng ~n ~m
+  | 1 ->
+      let bandwidth a b =
+        match (a, b) with
+        (* Two Pin links that differ keep the links heterogeneous. *)
+        | Platform.Pin, Platform.Proc 0 -> 1.0
+        | Platform.Pin, Platform.Proc 1 -> 2.0
+        | _ -> pick 1.0 2.0
+      in
+      let platform =
+        Platform.make ~speeds:(Array.make m 2.0)
+          ~failures:(Array.init m (fun _ -> pick 0.1 0.2))
+          ~bandwidth
+      in
+      let pipeline =
+        Pipeline.of_costs ~input:1.0
+          (List.init n (fun _ -> (pick 1.0 2.0, pick 1.0 2.0)))
+      in
+      Instance.make pipeline platform
+  | _ ->
+      let failures = Array.init m (fun u -> 0.05 +. (0.1 *. float u)) in
+      Rng.shuffle rng failures;
+      Instance.make
+        (Helpers.random_pipeline rng ~n)
+        (Platform.uniform_links
+           ~speeds:(Array.init m (fun _ -> Rng.float_range rng 1.0 10.0))
+           ~failures ~bandwidth:(Rng.float_range rng 1.0 10.0))
+
+let bits x = Int64.bits_of_float x
+
+(* Same mapping, same latency and failure bits. *)
+let same_solution a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (a : Solution.t), Some (b : Solution.t) ->
+      String.equal
+        (Format.asprintf "%a" Mapping.pp a.Solution.mapping)
+        (Format.asprintf "%a" Mapping.pp b.Solution.mapping)
+      && Int64.equal (bits (latency_of a)) (bits (latency_of b))
+      && Int64.equal (bits (failure_of a)) (bits (failure_of b))
+  | Some _, None | None, Some _ -> false
+
+(* [auto] is enumeration's optimum bit for bit, or — when several
+   mappings tie on the objective — another of the tied optima: B&B and
+   enumeration each keep the first optimum in their own visiting order.
+   Either way the answer carries its flat evaluation's bits. *)
+let agrees_with_enumeration inst objective auto =
+  let enum = Exact.solve inst objective in
+  same_solution auto enum
+  ||
+  match (auto, enum) with
+  | Some a, Some e ->
+      let value s = bits (Instance.objective_value objective (evaluation s)) in
+      Int64.equal (value a) (value e)
+      && Instance.feasible objective (evaluation a)
+      && same_solution auto (Some (Solution.of_mapping inst a.Solution.mapping))
+  | _ -> false
+
 let solver_auto_dispatch =
-  Helpers.seed_property ~count:25 "Auto equals Exact on small instances"
+  Helpers.seed_property ~count:60 "Auto equals Exact on small instances"
     (fun seed ->
       let rng = Rng.create seed in
-      let n = 1 + (seed mod 3) and m = 2 + (seed mod 3) in
-      let inst = Helpers.random_fully_hetero rng ~n ~m in
-      let max_latency, _ = thresholds_for rng inst in
-      let objective = Instance.Min_failure { max_latency } in
-      match (Solver.solve inst objective, Exact.solve inst objective) with
-      | None, None -> true
-      | Some a, Some b -> F.approx_eq ~eps:1e-6 (failure_of a) (failure_of b)
-      | Some _, None | None, Some _ -> false)
+      let inst = random_bb_instance rng in
+      if Fully_homog.applicable inst || Comm_homog.applicable inst then
+        Alcotest.fail "generator produced a polynomial instance";
+      let max_latency, max_failure = thresholds_for rng inst in
+      List.for_all
+        (fun objective ->
+          agrees_with_enumeration inst objective (Solver.solve inst objective))
+        [
+          Instance.Min_failure { max_latency };
+          Instance.Min_latency { max_failure };
+        ])
 
 let solver_polynomial_raises () =
   let inst = Relpipe_workload.Scenarios.fig34 () in
@@ -666,6 +736,59 @@ let solver_describe () =
     go 0
   in
   Alcotest.(check bool) "mentions algorithms" true (contains "Algorithms 1/2" d)
+
+(* campus-grid (n=7, m=16) is past what branch and bound proves within
+   the default budget: both exact-first methods stop on the node count,
+   so their work is pinned by counters rather than by wall time. *)
+let campus_grid () =
+  match
+    Textio.parse
+      (In_channel.with_open_text "../examples/instances/campus-grid.relpipe"
+         In_channel.input_all)
+  with
+  | Ok inst -> inst
+  | Error msg -> Alcotest.fail msg
+
+let with_counters f =
+  let obs = Relpipe_obs.Obs.create () in
+  let result = Relpipe_obs.Obs.with_ambient (Some obs) f in
+  let counter name =
+    Relpipe_obs.Metric.Counter.value
+      (Relpipe_obs.Metric.counter obs.Relpipe_obs.Obs.metrics name)
+  in
+  (result, counter)
+
+let campus_objective = Instance.Min_failure { max_latency = 100.0 }
+
+let check_budget_spent counter =
+  Alcotest.(check bool) "nodes within the budget" true
+    (counter "core.bb.nodes" <= Solver.default_budget);
+  Alcotest.(check int) "budget ran out" 1 (counter "core.bb.exhausted")
+
+let solver_auto_bounded () =
+  let result, counter =
+    with_counters (fun () -> Solver.run (campus_grid ()) campus_objective)
+  in
+  (match result with
+  | Ok (Some s) ->
+      Alcotest.(check string) "portfolio mapping"
+        "[S1..S7]->{P8,P9,P10,P11,P12,P13,P14,P15}"
+        (Format.asprintf "%a" Mapping.pp s.Solution.mapping)
+  | Ok None -> Alcotest.fail "infeasible"
+  | Error e -> Alcotest.fail (Solver.error_to_string e));
+  check_budget_spent counter
+
+let solver_exact_over_budget () =
+  let result, counter =
+    with_counters (fun () ->
+        Solver.run ~method_:Solver.Exact_enum (campus_grid ()) campus_objective)
+  in
+  (match result with
+  | Error (Solver.Too_large msg) ->
+      Alcotest.(check string) "message"
+        "exact search: more than 1000000 branch-and-bound nodes (n=7 m=16)" msg
+  | Ok _ | Error _ -> Alcotest.fail "expected Too_large");
+  check_budget_spent counter
 
 let () =
   Alcotest.run "core"
@@ -738,5 +861,7 @@ let () =
           solver_auto_dispatch;
           test "polynomial raises" solver_polynomial_raises;
           test "describe" solver_describe;
+          test "auto bounded on campus-grid" solver_auto_bounded;
+          test "exact over budget on campus-grid" solver_exact_over_budget;
         ] );
     ]

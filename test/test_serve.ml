@@ -618,7 +618,7 @@ let test_catalog_write_unwritable_path () =
 let test_lint_directory () =
   check_typed_error ~cause:"fixtures: Is a directory" [ "lint"; "fixtures" ]
 
-let too_large = "Exact.solve: more than 5000000 mappings"
+let too_large = "exact search: more than 1000000 branch-and-bound nodes"
 
 let test_simulate_too_large () =
   check_typed_error ~cause:too_large

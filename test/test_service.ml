@@ -510,6 +510,28 @@ let test_engine_instance_file () =
   | Protocol.Failed _ -> ()
   | _ -> Alcotest.fail "missing file must fail per-request"
 
+(* A request's "budget" reaches the exact search: the same 6x6 exact
+   request fails on a 10-node budget and solves on the default one. *)
+let test_engine_request_budget () =
+  let engine = Engine.create ~workers:1 () in
+  let inst = Helpers.random_fully_hetero (Rng.create 61) ~n:6 ~m:6 in
+  let request budget =
+    Protocol.request ?budget ~method_:Relpipe_core.Solver.Exact_enum
+      ~instance:(Protocol.Inline (Textio.to_string inst))
+      (Instance.Min_failure { max_latency = 1e6 })
+  in
+  let outcome budget =
+    (Engine.run_requests engine [| request budget |]).(0).Protocol.r_outcome
+  in
+  (match outcome (Some 10) with
+  | Protocol.Failed msg ->
+      check_str "budget message"
+        "exact search: more than 10 branch-and-bound nodes (n=6 m=6)" msg
+  | _ -> Alcotest.fail "a 10-node budget must fail");
+  match outcome None with
+  | Protocol.Solved _ -> ()
+  | _ -> Alcotest.fail "the default budget must solve"
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -561,5 +583,7 @@ let () =
           test "cache across batches" test_engine_cache_across_batches;
           test "lru eviction bounds the cache" test_engine_eviction;
           test "instance_file sources" test_engine_instance_file;
+          test "request budget bounds the exact search"
+            test_engine_request_budget;
         ] );
     ]

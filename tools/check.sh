@@ -61,6 +61,22 @@ for f in examples/requests/*.jsonl; do
   "$relpipe" batch "$f" -o /dev/null
 done
 
+echo "== relpipe solve: bounded Auto on campus-grid =="
+# Auto runs branch and bound under a node budget and falls back to the
+# heuristic portfolio only when it runs out; on this n=7 m=16 instance
+# that takes about a second.  Unbounded work on Auto's path (full
+# enumeration, an unbudgeted search, the speed-contiguous solver) takes
+# close to a minute, far past the timeout.
+timeout 10 "$relpipe" solve -i examples/instances/campus-grid.relpipe -L 100 \
+  > "$tmp/campus.out" || {
+  echo "check.sh: solve on campus-grid failed or ran past 10 s" >&2; exit 1; }
+grep -qx 'mapping:  \[S1\.\.S7\]->{P8,P9,P10,P11,P12,P13,P14,P15}' \
+  "$tmp/campus.out" || {
+  echo "check.sh: solve on campus-grid returned another mapping" >&2
+  cat "$tmp/campus.out" >&2
+  exit 1
+}
+
 echo "== relpipe atlas: streaming smoke (10^4 requests, workers 4 vs 1) =="
 # A 10^4-request Zipf/bursty stream aggregated online must produce a
 # byte-identical report at 4 (oversubscribed) workers and at 1 worker
