@@ -52,6 +52,9 @@ let default_budget = 1_000_000
 let auto ~exact_budget instance objective =
   if Fully_homog.applicable instance || Comm_homog.applicable instance then
     polynomial instance objective
+  else if Platform.size instance.Instance.platform > Relpipe_util.Bitset.max_width
+  then (* beyond the search's one-word processor sets *)
+    Heuristics.best_of instance objective
   else
     match Bb.solve_budgeted ~budget:exact_budget instance objective with
     | Bb.Complete s -> s
@@ -77,16 +80,13 @@ let dispatch ~method_ ~exact_budget instance objective =
   | Portfolio -> Heuristics.best_of instance objective
 
 let run ?(method_ = Auto) ?(exact_budget = default_budget) instance objective =
-  match check_instance instance with
-  | Error _ as e -> e
-  | Ok () -> (
-      match check_objective objective with
-      | Error _ as e -> e
-      | Ok () -> (
-          match dispatch ~method_ ~exact_budget instance objective with
-          | s -> Ok s
-          | exception Invalid_argument msg -> Error (Not_applicable msg)
-          | exception Exact.Too_large msg -> Error (Too_large msg)))
+  let ( let* ) = Result.bind in
+  let* () = check_instance instance in
+  let* () = check_objective objective in
+  match dispatch ~method_ ~exact_budget instance objective with
+  | s -> Ok s
+  | exception Invalid_argument msg -> Error (Not_applicable msg)
+  | exception Exact.Too_large msg -> Error (Too_large msg)
 
 let solve ?method_ ?exact_budget instance objective =
   match run ?method_ ?exact_budget instance objective with

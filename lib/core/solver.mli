@@ -10,7 +10,8 @@
     - everything else (Comm. Homogeneous + Failure Heterogeneous — open;
       Fully Heterogeneous — NP-hard): branch and bound ({!Bb}) under a
       node budget; only when it runs out, the better of the search's
-      incumbent and the heuristic portfolio.
+      incumbent and the heuristic portfolio.  Platforms of more than
+      {!Relpipe_util.Bitset.max_width} processors go to the portfolio.
 
     Every entry point first runs the [Relpipe_analysis] instance pass at
     [Error] level; a malformed instance yields a typed {!error} (from
@@ -29,7 +30,9 @@ type error =
   | Invalid_instance of Relpipe_analysis.Diagnostic.t list
       (** the [Error]-level lint findings, worst first *)
   | Invalid_objective of string  (** e.g. a NaN threshold *)
-  | Not_applicable of string  (** [Polynomial] on an intractable class *)
+  | Not_applicable of string
+      (** [Polynomial] on an intractable class, [Exact_enum] on more than
+          {!Relpipe_util.Bitset.max_width} processors *)
   | Too_large of string  (** [Exact_enum] ran out of its node budget *)
 
 val pp_error : Format.formatter -> error -> unit

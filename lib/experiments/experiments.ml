@@ -299,18 +299,19 @@ let e9_partition_reduction () =
   t
 
 let heuristic_gap_table ~seed ~gen ~title =
-  (* Optimality gap of each heuristic against the exhaustive optimum, on the
-     min-FP-under-latency problem.  Both solves go through one shared
-     [Relpipe_service.Engine]: the rng reset replays the same instances for
-     every heuristic row, so after the first row each exhaustive reference
-     is a cache hit instead of a fresh enumeration. *)
+  (* Optimality gap of each heuristic against [Exact_enum]'s budgeted
+     branch and bound on min-FP-under-latency, both solved through one
+     shared [Relpipe_service.Engine]: the rng reset replays the same
+     instances for every row, so after the first each reference is a cache
+     hit.  A failed solve (out of budget) aborts instead of skipping. *)
   let module Engine = Relpipe_service.Engine in
   let module Protocol = Relpipe_service.Protocol in
   let engine = Engine.create ~workers:1 ~cache_capacity:256 () in
   let failure_of_response (r : Protocol.response) =
     match r.Protocol.r_outcome with
     | Protocol.Solved { failure; _ } -> Some failure
-    | Protocol.Infeasible | Protocol.Failed _ -> None
+    | Protocol.Infeasible -> None
+    | Protocol.Failed msg -> failwith ("heuristic gap table: " ^ msg)
   in
   let t =
     Table.create

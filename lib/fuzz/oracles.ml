@@ -215,12 +215,8 @@ let check_canon _ctx rng (case : Gen.case) =
   in
   let inst' = Instance.make inst.Instance.pipeline platform' in
   let engine = Service.Engine.create ~workers:1 ~cache_capacity:64 () in
-  let key i =
-    (Service.Canon.normalize ~budget:Core.Solver.default_budget
-       ~method_:Core.Solver.Auto i obj).Service.Canon.key
-  in
-  if not (String.equal (key inst) (key inst')) then
-    failf "renumbered instance canonicalizes to a different cache key";
+  (* On a fresh engine the second solve hits exactly when both instances
+     canonicalize to the same cache key. *)
   let r1 = Service.Engine.solve_instance engine inst obj in
   let r2 = Service.Engine.solve_instance engine inst' obj in
   (match r1.Service.Protocol.r_cache with

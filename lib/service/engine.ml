@@ -60,6 +60,7 @@ type ready = {
   rq : Protocol.request;
   inst : Instance.t;
   norm : Canon.normalized;
+  budget : int;
 }
 
 type prepared = Bad of string option * string  (* id, message *) | Ready of ready
@@ -97,19 +98,19 @@ let prepare req =
                   String.concat "; "
                     (List.map (fun d -> Diagnostic.to_string ?file d) ds) )
           | Ok inst ->
-              let norm =
-                Canon.normalize
-                  ~budget:
-                    (Option.value rq.Protocol.budget
-                       ~default:Solver.default_budget)
-                  ~method_:rq.Protocol.method_ inst rq.Protocol.objective
+              let budget =
+                Option.value rq.Protocol.budget ~default:Solver.default_budget
               in
-              Ready { rq; inst; norm }))
+              let norm =
+                Canon.normalize ~budget ~method_:rq.Protocol.method_ inst
+                  rq.Protocol.objective
+              in
+              Ready { rq; inst; norm; budget }))
 
 let solve_job (r : ready) =
   match
-    Solver.run ~method_:r.rq.Protocol.method_
-      ?exact_budget:r.rq.Protocol.budget r.inst r.rq.Protocol.objective
+    Solver.run ~method_:r.rq.Protocol.method_ ~exact_budget:r.budget r.inst
+      r.rq.Protocol.objective
   with
   | outcome -> outcome
   | exception e ->

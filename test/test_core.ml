@@ -790,6 +790,26 @@ let solver_exact_over_budget () =
   | Ok _ | Error _ -> Alcotest.fail "expected Too_large");
   check_budget_spent counter
 
+(* Processor sets in the search are one machine word wide: a wider
+   platform still gets the portfolio's answer from Auto, and a typed
+   refusal from the exact method. *)
+let solver_wider_than_search () =
+  let m = Relpipe_util.Bitset.max_width + 1 in
+  let rng = Rng.create 7 in
+  let inst = Helpers.random_fully_hetero rng ~n:3 ~m in
+  let max_latency, _ = thresholds_for rng inst in
+  let objective = Instance.Min_failure { max_latency } in
+  (match Solver.run inst objective with
+  | Ok (Some s) ->
+      Alcotest.(check bool) "portfolio answer" true
+        (same_solution (Some s) (Heuristics.best_of inst objective))
+  | Ok None -> Alcotest.fail "infeasible"
+  | Error e -> Alcotest.fail (Solver.error_to_string e));
+  match Solver.run ~method_:Solver.Exact_enum inst objective with
+  | Error (Solver.Not_applicable msg) ->
+      Alcotest.(check string) "message" "Bb.solve: too many processors" msg
+  | Ok _ | Error _ -> Alcotest.fail "expected Not_applicable"
+
 let () =
   Alcotest.run "core"
     [
@@ -863,5 +883,6 @@ let () =
           test "describe" solver_describe;
           test "auto bounded on campus-grid" solver_auto_bounded;
           test "exact over budget on campus-grid" solver_exact_over_budget;
+          test "auto past the search's width" solver_wider_than_search;
         ] );
     ]
