@@ -6,8 +6,8 @@
    samples through the one function [measure_kernel]:
 
    - the kernel landscape (model evaluation, polynomial algorithms,
-     exponential search, heuristics, simulator) and the Theorem 4
-     scaling rows;
+     exponential search, heuristics, simulator, the cache-hit path's
+     parse / key / Bloom steps) and the Theorem 4 scaling rows;
    - optimized kernels vs their frozen [Reference] twins;
    - the parallel exact B&B vs its serial form;
    - warm-started vs cold churn re-solving.
@@ -142,6 +142,25 @@ let landscape () =
   let big_general = make_fully_hetero 7 ~n:32 ~m:24 in
   let alive = Relpipe_sim.Failure_inject.all_alive inst_fh.Instance.platform in
   let mapping_fh = mapping_ch (* same shape reused on the FH platform *) in
+  (* The cache-hit path, priced step by step on the 64 texts of the
+     seed-0 Stream_gen pool: what a served request costs before any
+     solver runs. *)
+  let stream_entries =
+    Relpipe_workload.Stream_gen.pool_entries ~seed:0
+      Relpipe_workload.Stream_gen.default_spec
+  in
+  let stream_texts =
+    Array.map (fun e -> e.Relpipe_workload.Stream_gen.text) stream_entries
+  in
+  let stream_requests =
+    Array.map
+      (fun (e : Relpipe_workload.Stream_gen.entry) ->
+        match (Textio.parse e.text, Relpipe_service.Protocol.method_of_string e.method_name) with
+        | Ok inst, Ok method_ -> (inst, method_, e.objective)
+        | Error msg, _ | _, Error msg -> failwith msg)
+      stream_entries
+  in
+  let bloom = Relpipe_obs.Stream.Bloom.create ~expected:1024 () in
   [
     (* Model evaluation kernels (Eq. 1, Eq. 2, FP formula). *)
     kernel "latency-eq1 (n=8, 2 intervals)" (fun () ->
@@ -208,6 +227,17 @@ let landscape () =
     kernel "tri-criteria greedy (n=8, m=8)" (fun () ->
         Tri.greedy_min_failure inst_fh
           { Tri.max_latency = 1e6; max_period = 1e6 });
+    (* Cache-hit path. *)
+    kernel "textio parse (64 stream texts)" (fun () ->
+        Array.map Textio.parse stream_texts);
+    kernel "canon key (64 stream texts)" (fun () ->
+        Array.map
+          (fun (inst, method_, objective) ->
+            Relpipe_service.Canon.normalize ~budget:Solver.default_budget
+              ~method_ inst objective)
+          stream_requests);
+    kernel "bloom add (64 stream texts)" (fun () ->
+        Array.map (Relpipe_obs.Stream.Bloom.add bloom) stream_texts);
   ]
 
 let run_landscape ~clock () =

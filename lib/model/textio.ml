@@ -173,10 +173,12 @@ let endpoint_of_raw ~m = function
       if u >= 0 && u < m then Ok (Platform.Proc u)
       else Error (Printf.sprintf "processor index %d out of range 0..%d" u (m - 1))
 
-let endpoint_key = function
-  | Platform.Pin -> -1
-  | Platform.Pout -> -2
-  | Platform.Proc u -> u
+(* Row/column of an endpoint in the (m+2)² link table: 0 = Pin,
+   1..m = processors, m+1 = Pout. *)
+let endpoint_index ~m = function
+  | Platform.Pin -> 0
+  | Platform.Proc u -> u + 1
+  | Platform.Pout -> m + 1
 
 let build raw =
   let ( let* ) = Result.bind in
@@ -189,37 +191,46 @@ let build raw =
   let* () = if raw.raw_procs = [] then err "no `proc` directives" else Ok () in
   let procs = Array.of_list raw.raw_procs in
   let m = Array.length procs in
-  let tbl = Hashtbl.create 16 in
+  (* Explicit links in a flat table with a separate presence flag, so
+     any bandwidth written (NaN included) reaches [Platform.make]'s
+     checks instead of falling back to the default. *)
+  let size = m + 2 in
+  let bw = Array.make (size * size) 0.0 in
+  let present = Array.make (size * size) false in
+  let set i j v =
+    bw.((i * size) + j) <- v;
+    present.((i * size) + j) <- true
+  in
   let* () =
     List.fold_left
       (fun acc l ->
         let* () = acc in
         let check e =
           match endpoint_of_raw ~m e with
-          | Ok e -> Ok e
+          | Ok e -> Ok (endpoint_index ~m e)
           | Error msg -> err ~span:l.link_span "%s" msg
         in
-        let* ea = check l.link_a in
-        let* eb = check l.link_b in
-        Hashtbl.replace tbl (endpoint_key ea, endpoint_key eb) l.link_bw;
-        Hashtbl.replace tbl (endpoint_key eb, endpoint_key ea) l.link_bw;
+        let* ia = check l.link_a in
+        let* ib = check l.link_b in
+        set ia ib l.link_bw;
+        set ib ia l.link_bw;
         Ok ())
       (Ok ()) raw.raw_links
   in
   let missing = ref None in
   let bandwidth a bb =
-    match Hashtbl.find_opt tbl (endpoint_key a, endpoint_key bb) with
-    | Some v -> v
-    | None -> (
-        match raw.raw_default_bw with
-        | Some (v, _) -> v
-        | None ->
-            if !missing = None then
-              missing :=
-                Some
-                  (Format.asprintf "no bandwidth for link %a-%a (and no default)"
-                     Platform.pp_endpoint a Platform.pp_endpoint bb);
-            1.0)
+    let k = (endpoint_index ~m a * size) + endpoint_index ~m bb in
+    if present.(k) then bw.(k)
+    else
+      match raw.raw_default_bw with
+      | Some (v, _) -> v
+      | None ->
+          if !missing = None then
+            missing :=
+              Some
+                (Format.asprintf "no bandwidth for link %a-%a (and no default)"
+                   Platform.pp_endpoint a Platform.pp_endpoint bb);
+          1.0
   in
   let* platform =
     match

@@ -168,13 +168,15 @@ module Bloom = struct
      second stream of double hashing.  Pure functions of the key, so
      filter contents are reproducible across runs and platforms. *)
   let fnv1a64 s =
-    let basis = 0xcbf29ce484222325L and prime = 0x00000100000001b3L in
-    let h = ref basis in
-    String.iter
-      (fun c ->
-        h := Int64.logxor !h (Int64.of_int (Char.code c));
-        h := Int64.mul !h prime)
-      s;
+    (* A plain loop over a local ref: the compiler keeps [h] unboxed, so
+       hashing a key allocates nothing per byte. *)
+    let h = ref 0xcbf29ce484222325L in
+    for i = 0 to String.length s - 1 do
+      h :=
+        Int64.mul
+          (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+          0x00000100000001b3L
+    done;
     !h
 
   let splitmix_finalize z =

@@ -115,6 +115,11 @@ module Bloom : sig
   val hashes : t -> int
   (** Probe count [k]. *)
 
+  val fnv1a64 : string -> int64
+  (** The 64-bit FNV-1a hash of the key bytes (offset basis
+      [0xcbf29ce484222325], prime [0x100000001b3]): the first of the
+      two probe streams. *)
+
   val mem : t -> string -> bool
   (** [false] is definite; [true] may be a false positive. *)
 

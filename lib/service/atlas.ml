@@ -47,9 +47,7 @@ let bloom_key slot =
     | Instance.Min_latency { max_failure } -> Printf.sprintf "ml:%h" max_failure
     | Instance.Min_failure { max_latency } -> Printf.sprintf "mf:%h" max_latency
   in
-  Printf.sprintf "%s\n%s\n%s"
-    (Protocol.method_to_string slot.sl_method)
-    obj slot.sl_text
+  String.concat "\n" [ Protocol.method_to_string slot.sl_method; obj; slot.sl_text ]
 
 let request_of_slot slot =
   Protocol.request ~method_:slot.sl_method

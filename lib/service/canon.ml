@@ -1,41 +1,52 @@
 open Relpipe_model
 
-let version = 2
+let version = 3
 
+(* Round the significand to 40 bits (about 12 significant digits):
+   adding half of the dropped 12-bit tail to the IEEE bit pattern and
+   clearing the tail rounds half away from zero, and a carry out of the
+   significand correctly bumps the exponent.  The one carry that
+   overflows is into infinity (at the top binade); there the value is
+   truncated instead, so finite inputs stay finite.  [-0.0] becomes
+   [0.0]; non-finite values pass through. *)
 let quantize x =
-  if Float.is_finite x then float_of_string (Printf.sprintf "%.12g" x) else x
-
-(* The canonical serialization renders every float at the quantization
-   precision, so values equal after quantization serialize identically. *)
-let q x = Printf.sprintf "%.12g" x
+  if not (Float.is_finite x) then x
+  else if Float.equal x 0.0 then 0.0
+  else
+    let bits = Int64.bits_of_float x in
+    let rounded = Int64.float_of_bits (Int64.logand (Int64.add bits 0x800L) (-0x1000L)) in
+    if Float.is_finite rounded then rounded
+    else Int64.float_of_bits (Int64.logand bits (-0x1000L))
 
 type normalized = { key : string; perm : int array }
 
+(* Stable order on (quantized speed, quantized failure), falling back to
+   the declared index so equal processors keep a deterministic relative
+   order.  Each processor is quantized once, outside the comparator. *)
 let canonical_perm platform ~symmetric =
   let m = Platform.size platform in
   let perm = Array.init m Fun.id in
-  if symmetric then
-    (* Stable order on (quantized speed, quantized failure), falling back
-       to the declared index so equal processors keep a deterministic
-       relative order. *)
+  if symmetric then begin
+    let speed = Array.init m (fun u -> quantize (Platform.speed platform u)) in
+    let failure = Array.init m (fun u -> quantize (Platform.failure platform u)) in
     Array.sort
       (fun a b ->
-        let c =
-          Float.compare
-            (quantize (Platform.speed platform a))
-            (quantize (Platform.speed platform b))
-        in
+        let c = Float.compare speed.(a) speed.(b) in
         if c <> 0 then c
         else
-          let c =
-            Float.compare
-              (quantize (Platform.failure platform a))
-              (quantize (Platform.failure platform b))
-          in
+          let c = Float.compare failure.(a) failure.(b) in
           if c <> 0 then c else Int.compare a b)
-      perm;
+      perm
+  end;
   perm
 
+let key_prefix = Printf.sprintf "v%d:" version
+
+(* The digested serialization is binary: a version header, then
+   fixed-width little-endian fields (ints as int64, floats as the bits of
+   their quantized value) and one-byte tags separating the variants.  The
+   method name is length-prefixed and every count precedes what it
+   counts, so distinct requests never serialize to the same bytes. *)
 let normalize ~budget ~method_ instance objective =
   let pipeline = instance.Instance.pipeline in
   let platform = instance.Instance.platform in
@@ -45,40 +56,51 @@ let normalize ~budget ~method_ instance objective =
   let symmetric = Option.is_some common_bw in
   let perm = canonical_perm platform ~symmetric in
   let buf = Buffer.create 512 in
-  let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  addf "relpipe-canon/v%d\n" version;
-  addf "method %s budget %d\n" (Protocol.method_to_string method_) budget;
+  let add_int i = Buffer.add_int64_le buf (Int64.of_int i) in
+  let add_float x = Buffer.add_int64_le buf (Int64.bits_of_float (quantize x)) in
+  Buffer.add_string buf "relpipe-canon";
+  add_int version;
+  let name = Protocol.method_to_string method_ in
+  add_int (String.length name);
+  Buffer.add_string buf name;
+  add_int budget;
   (match objective with
   | Instance.Min_failure { max_latency } ->
-      addf "objective min_failure %s\n" (q max_latency)
+      Buffer.add_char buf 'F';
+      add_float max_latency
   | Instance.Min_latency { max_failure } ->
-      addf "objective min_latency %s\n" (q max_failure));
-  addf "n %d m %d\n" n m;
-  addf "input %s\n" (q (Pipeline.delta pipeline 0));
+      Buffer.add_char buf 'L';
+      add_float max_failure);
+  add_int n;
+  add_int m;
+  add_float (Pipeline.delta pipeline 0);
   for k = 1 to n do
-    addf "stage %s %s\n" (q (Pipeline.work pipeline k)) (q (Pipeline.delta pipeline k))
+    add_float (Pipeline.work pipeline k);
+    add_float (Pipeline.delta pipeline k)
   done;
   Array.iter
     (fun u ->
-      addf "proc %s %s\n" (q (Platform.speed platform u)) (q (Platform.failure platform u)))
+      add_float (Platform.speed platform u);
+      add_float (Platform.failure platform u))
     perm;
   (match common_bw with
-  | Some b -> addf "links homog %s\n" (q b)
+  | Some b ->
+      Buffer.add_char buf 'H';
+      add_float b
   | None ->
       (* Full matrix in declared order ([perm] is the identity here): the
-         one-port clique including the Pin/Pout endpoints. *)
-      let endpoints =
-        (Platform.Pin :: List.map (fun u -> Platform.Proc u) (Platform.procs platform))
-        @ [ Platform.Pout ]
+         one-port clique including the Pin/Pout endpoints, upper triangle
+         row by row over Pin, processors 0..m-1, Pout. *)
+      Buffer.add_char buf 'X';
+      let endpoint i =
+        if i = 0 then Platform.Pin else if i = m + 1 then Platform.Pout else Platform.Proc (i - 1)
       in
-      List.iteri
-        (fun i a ->
-          List.iteri
-            (fun j b ->
-              if i < j then addf "link %d %d %s\n" i j (q (Platform.bandwidth platform a b)))
-            endpoints)
-        endpoints);
-  let key = Printf.sprintf "v%d:%s" version (Digest.to_hex (Digest.string (Buffer.contents buf))) in
+      for i = 0 to m + 1 do
+        for j = i + 1 to m + 1 do
+          add_float (Platform.bandwidth platform (endpoint i) (endpoint j))
+        done
+      done);
+  let key = key_prefix ^ Digest.to_hex (Digest.string (Buffer.contents buf)) in
   { key; perm }
 
 let same_perm a b =

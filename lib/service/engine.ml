@@ -264,20 +264,24 @@ let run_batch t reqs =
           | Protocol.Failed _ ->
               t.n_failed <- t.n_failed + 1;
               Obs.incr t.obs "engine.failed");
-          Obs.instant t.obs "engine.request"
-            ~attrs:
-              [
-                ("index", string_of_int i);
-                ( "cache",
-                  match r_cache with
-                  | Protocol.Hit -> "hit"
-                  | Protocol.Miss -> "miss" );
-                ( "status",
-                  match r_outcome with
-                  | Protocol.Solved _ -> "solved"
-                  | Protocol.Infeasible -> "infeasible"
-                  | Protocol.Failed _ -> "failed" );
-              ];
+          (* The attrs are built only when a tracer records them. *)
+          (match t.obs with
+          | Some { Obs.trace = Some _; _ } ->
+              Obs.instant t.obs "engine.request"
+                ~attrs:
+                  [
+                    ("index", string_of_int i);
+                    ( "cache",
+                      match r_cache with
+                      | Protocol.Hit -> "hit"
+                      | Protocol.Miss -> "miss" );
+                    ( "status",
+                      match r_outcome with
+                      | Protocol.Solved _ -> "solved"
+                      | Protocol.Infeasible -> "infeasible"
+                      | Protocol.Failed _ -> "failed" );
+                  ]
+          | Some { Obs.trace = None; _ } | None -> ());
           { Protocol.r_id; r_index = i; r_cache; r_outcome })
         plan)
 

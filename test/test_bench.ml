@@ -56,12 +56,14 @@ let test_schema () =
       (fun k -> get "name" (Option.bind (Json.member "name" k) Json.to_str))
       (get "benchmarks" (Json.to_list (field "benchmarks")))
   in
-  check_int "twenty landscape rows" 20 (List.length names);
+  check_int "twenty-three landscape rows" 23 (List.length names);
   List.iter
     (fun name ->
       Alcotest.(check bool) ("landscape row " ^ name) true (List.mem name names))
     [ "latency-eq1 (n=8, 2 intervals)"; "thm4 direct DP (n=32, m=24)";
-      "exact enumeration (n=3, m=4)"; "tri-criteria greedy (n=8, m=8)" ];
+      "exact enumeration (n=3, m=4)"; "tri-criteria greedy (n=8, m=8)";
+      "textio parse (64 stream texts)"; "canon key (64 stream texts)";
+      "bloom add (64 stream texts)" ];
   let twins = get "twins" (Json.to_list (field "twins")) in
   check_int "three kernel twins" 3 (List.length twins);
   let kernels =

@@ -307,14 +307,57 @@ let test_canon_separates_inputs () =
   Alcotest.(check bool)
     "objective in the key" false
     (String.equal (key_of inst o1) (key_of inst o2));
-  let k m =
-    (Canon.normalize ~budget:1000 ~method_:m inst o1).Canon.key
+  let keys =
+    List.map
+      (fun (_, m) -> (Canon.normalize ~budget:1000 ~method_:m inst o1).Canon.key)
+      Protocol.method_names
   in
+  check_int "every method name its own key"
+    (List.length Protocol.method_names)
+    (List.length (List.sort_uniq String.compare keys))
+
+let test_canon_quantize () =
+  (* Random normal floats of either sign across the exponent range. *)
+  let rng = Rng.create 47 in
+  let xs =
+    Array.init 4000 (fun _ ->
+        let x = Float.ldexp (1.0 +. Rng.float rng 1.0) (Rng.int rng 2000 - 1000) in
+        if Rng.bool rng then -.x else x)
+  in
+  let xs = Array.append xs [| Float.max_float; -.Float.max_float; 1.0; 0.3 |] in
+  let tol = Float.ldexp 1.0 (-40) in
+  Array.iter
+    (fun x ->
+      let q = Canon.quantize x in
+      if not (Float.equal (Canon.quantize q) q) then
+        Alcotest.failf "quantize is not idempotent at %h" x;
+      if not (Float.abs (q -. x) <= tol *. Float.abs x) then
+        Alcotest.failf "quantize %h = %h: relative error above 2^-40" x q;
+      (* The next float up must not quantize lower. *)
+      if Canon.quantize (Float.succ x) < q then
+        Alcotest.failf "quantize is not monotone at %h" x)
+    xs;
+  let sorted = Array.map Canon.quantize xs in
+  let by_input = Array.copy xs in
+  Array.sort Float.compare by_input;
+  Array.sort Float.compare sorted;
   Alcotest.(check bool)
-    "method in the key" false
-    (String.equal
-       (k Relpipe_core.Solver.Auto)
-       (k Relpipe_core.Solver.Portfolio))
+    "sorting commutes with quantize" true
+    (Array.for_all2 Float.equal sorted (Array.map Canon.quantize by_input));
+  Alcotest.(check bool)
+    "max_float stays finite" true
+    (Float.is_finite (Canon.quantize Float.max_float));
+  Alcotest.(check bool)
+    "-0.0 becomes 0.0" false
+    (Float.sign_bit (Canon.quantize (-0.0)));
+  Alcotest.(check bool)
+    "infinity passes through" true
+    (Float.equal Float.infinity (Canon.quantize Float.infinity));
+  Alcotest.(check bool) "nan passes through" true (Float.is_nan (Canon.quantize Float.nan));
+  let inst = Helpers.random_comm_homog (Rng.create 53) ~n:3 ~m:3 in
+  check_str "-0.0 and 0.0 give one key"
+    (key_of inst (Instance.Min_latency { max_failure = 0.0 }))
+    (key_of inst (Instance.Min_latency { max_failure = -0.0 }))
 
 (* ------------------------------------------------------------------ *)
 (* Pool                                                                *)
@@ -533,6 +576,76 @@ let test_engine_request_budget () =
   | _ -> Alcotest.fail "the default budget must solve"
 
 (* ------------------------------------------------------------------ *)
+(* Hit path: parse, canonical key, Bloom                               *)
+(* ------------------------------------------------------------------ *)
+
+let test_nan_link_rejected () =
+  (* An explicit link is never replaced by the default, whatever its
+     value: a NaN bandwidth reaches Platform.make and is refused. *)
+  let text =
+    "input 1\nstage 1 1\nproc 1 0.1\nproc 2 0.1\nlink default 2\nlink 0 1 nan\n"
+  in
+  match Textio.parse text with
+  | Ok _ -> Alcotest.fail "a NaN link was accepted"
+  | Error msg ->
+      check_str "rejected by Platform.make"
+        "Platform.make: bandwidths must be finite and positive" msg
+
+(* Minor-heap words that parsing, keying and Bloom-hashing the 64 texts
+   of the seed-0 Stream_gen pool allocate, step by step (a warm-up pass
+   first).  Allocation is deterministic for a fixed build, so the
+   bounds, about twice the measured 262.4k / 30.4k / 2.3k words, trip when
+   [Printf] or per-byte boxing comes back onto the hit path. *)
+let test_hit_path_allocation () =
+  let module Stream_gen = Relpipe_workload.Stream_gen in
+  let module Bloom = Relpipe_obs.Stream.Bloom in
+  let entries = Stream_gen.pool_entries ~seed:0 Stream_gen.default_spec in
+  let methods =
+    Array.map
+      (fun (e : Stream_gen.entry) ->
+        match Protocol.method_of_string e.method_name with
+        | Ok m -> m
+        | Error msg -> Alcotest.fail msg)
+      entries
+  in
+  let bloom = Bloom.create ~expected:1024 () in
+  let parse = ref 0.0 and key = ref 0.0 and hash = ref 0.0 in
+  let pass () =
+    parse := 0.0;
+    key := 0.0;
+    hash := 0.0;
+    Array.iteri
+      (fun i (e : Stream_gen.entry) ->
+        let w0 = Gc.minor_words () in
+        let inst =
+          match Relpipe_analysis.Analysis.parse_instance_text e.text with
+          | Ok inst -> inst
+          | Error _ -> Alcotest.fail "generated instance does not parse"
+        in
+        let w1 = Gc.minor_words () in
+        ignore
+          (Sys.opaque_identity
+             (Canon.normalize ~budget:Relpipe_core.Solver.default_budget
+                ~method_:methods.(i) inst e.objective));
+        let w2 = Gc.minor_words () in
+        ignore (Sys.opaque_identity (Bloom.add bloom e.text));
+        let w3 = Gc.minor_words () in
+        parse := !parse +. (w1 -. w0);
+        key := !key +. (w2 -. w1);
+        hash := !hash +. (w3 -. w2))
+      entries
+  in
+  pass ();
+  pass ();
+  List.iter
+    (fun (step, words, bound) ->
+      if words > bound then
+        Alcotest.failf "%s allocated %.0f minor words (bound %.0f)" step words bound)
+    [
+      ("parse", !parse, 525_000.0); ("key", !key, 61_000.0); ("bloom", !hash, 4_600.0);
+    ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "service"
@@ -567,6 +680,7 @@ let () =
           test "fully-hetero breaks symmetry" test_canon_hetero_no_symmetry;
           test "quantization" test_canon_quantization;
           test "objective and method in key" test_canon_separates_inputs;
+          test "quantize: idempotent, monotone, 2^-40" test_canon_quantize;
         ] );
       ( "pool",
         [
@@ -585,5 +699,10 @@ let () =
           test "instance_file sources" test_engine_instance_file;
           test "request budget bounds the exact search"
             test_engine_request_budget;
+        ] );
+      ( "hit-path",
+        [
+          test "explicit NaN link rejected" test_nan_link_rejected;
+          test "allocation bound" test_hit_path_allocation;
         ] );
     ]

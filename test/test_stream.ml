@@ -313,6 +313,22 @@ let test_bloom_union_laws () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* The published FNV-1a 64 test vectors: the probe hash is the standard
+   function, so filter contents do not depend on how the loop is
+   written. *)
+let test_bloom_fnv1a64_vectors () =
+  List.iter
+    (fun (input, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "fnv1a64 %S" input)
+        expected
+        (Printf.sprintf "%016Lx" (Bloom.fnv1a64 input)))
+    [
+      ("", "cbf29ce484222325");
+      ("a", "af63dc4c8601ec8c");
+      ("foobar", "85944171f73967e8");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Atlas CLI: golden report, byte-identical across worker counts       *)
 (* ------------------------------------------------------------------ *)
@@ -367,6 +383,7 @@ let () =
             prop_bloom_no_false_negatives;
           test "measured FP rate within bound" test_bloom_fp_rate_within_bound;
           test "union laws and geometry guard" test_bloom_union_laws;
+          test "FNV-1a 64 test vectors" test_bloom_fnv1a64_vectors;
         ] );
       ( "atlas",
         [
